@@ -12,15 +12,11 @@ std::uint64_t monotonic_ns() {
 }
 
 ScopedTimer::ScopedTimer(Histogram* h) : h_(h) {
-  if constexpr (kTelemetryEnabled) {
-    if (h_ != nullptr) start_ns_ = monotonic_ns();
-  }
+  if (h_ != nullptr) start_ns_ = monotonic_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
-  if constexpr (kTelemetryEnabled) {
-    if (h_ != nullptr) h_->record_ns(monotonic_ns() - start_ns_);
-  }
+  if (h_ != nullptr) h_->record_ns(monotonic_ns() - start_ns_);
 }
 
 double Histogram::Snapshot::quantile_ns(double q) const {

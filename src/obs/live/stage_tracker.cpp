@@ -38,11 +38,6 @@ StageTracker::StageTracker(Registry& registry, std::size_t capacity)
 }
 
 void StageTracker::stamp(const Hash32& id, TxStage stage) {
-  if constexpr (!kTelemetryEnabled) {
-    (void)id;
-    (void)stage;
-    return;
-  }
   const std::uint64_t now = monotonic_ns();
   const auto s = static_cast<std::size_t>(stage);
   std::uint64_t latency_from_prev = 0;

@@ -155,7 +155,7 @@ void P2pNode::register_live_metrics() {
       "themis_tx_rejected_total", "Transactions that failed an admission check.");
   live_.txs_duplicate = &r.counter(
       "themis_tx_duplicate_total", "Transactions already pending or confirmed.");
-  live_.blocks_mined = &r.counter(
+  live_.blocks_produced = &r.counter(
       "themis_blocks_mined_total", "Blocks mined by this node.");
   live_.blocks_received = &r.counter(
       "themis_blocks_received_total", "Full blocks received over the wire.");
@@ -177,9 +177,50 @@ void P2pNode::register_live_metrics() {
   live_.ckpt_votes_rejected = &r.counter(
       "themis_finality_votes_rejected_total",
       "Checkpoint votes rejected (equivocation, unknown voter, bad signature).");
-  live_.ckpt_certs = &r.counter(
+  live_.ckpt_certs_formed = &r.counter(
       "themis_finality_certificates_total",
       "Checkpoint quorums completed locally (certificates formed).");
+  live_.reorgs_refused_finality = &r.counter(
+      "themis_finality_reorgs_refused_total",
+      "Heavier branches refused because they diverge below the finalized height.");
+  live_.blocks_duplicate = &r.counter(
+      "themis_blocks_duplicate_total",
+      "Full blocks received that were already in the tree.");
+  live_.invs_received = &r.counter(
+      "themis_block_invs_received_total",
+      "Block inventory entries received from peers.");
+  live_.invs_redundant = &r.counter(
+      "themis_block_invs_redundant_total",
+      "Block inventory entries for blocks already in the tree.");
+  live_.sync_requests_served = &r.counter(
+      "themis_sync_requests_served_total", "Locator sync requests answered.");
+  live_.sync_blocks_served = &r.counter(
+      "themis_sync_blocks_served_total",
+      "Blocks sent in answer to locator sync requests.");
+  live_.sync_rounds = &r.counter(
+      "themis_sync_rounds_total", "Locator sync requests sent to peers.");
+  live_.snapshots_written = &r.counter(
+      "themis_snapshots_written_total", "State snapshots persisted.");
+  live_.blocks_pruned = &r.counter(
+      "themis_blocks_pruned_total", "Block-store records dropped by pruning.");
+  live_.txs_relayed = &r.counter(
+      "themis_tx_relayed_total", "Full transactions served to peers.");
+  live_.txs_received = &r.counter(
+      "themis_tx_received_total", "Full transactions received over the wire.");
+  live_.tx_invs_received = &r.counter(
+      "themis_tx_invs_received_total",
+      "Transaction inventory entries received from peers.");
+  live_.tx_invs_redundant = &r.counter(
+      "themis_tx_invs_redundant_total",
+      "Transaction inventory entries for transactions already known.");
+  live_.txs_confirmed = &r.counter(
+      "themis_tx_confirmed_total", "Transactions confirmed on the main chain.");
+  live_.txs_returned = &r.counter(
+      "themis_tx_returned_total",
+      "Reorg-abandoned transactions returned to the pool.");
+  live_.txs_purged = &r.counter(
+      "themis_tx_purged_total",
+      "Transactions dropped from the pool as permanently stale.");
   live_.admit_batch = &r.histogram(
       "themis_admit_batch_seconds",
       "Latency of one combining-leader admission batch (all four stages).");
@@ -190,45 +231,47 @@ void P2pNode::register_live_metrics() {
       &r.counter("themis_pool_added_total", "TxPool inserts (all shards)."),
       &r.counter("themis_pool_evicted_total",
                  "TxPool capacity evictions (oldest first)."));
-  // Instantaneous values the components already maintain atomically are read
-  // at scrape time instead of being mirrored on the hot path.
+  // Consensus state values: set under mu_ where they change, so a scrape
+  // reads them without the consensus lock.
+  live_.head_height =
+      &r.gauge("themis_head_height", "Height of the fork-choice head.");
+  live_.finalized_height = &r.gauge(
+      "themis_finality_height", "Highest hard-finalized checkpoint height.");
+  live_.finality_lag = &r.gauge(
+      "themis_finality_lag_blocks",
+      "Blocks between the fork-choice head and the finalized height.");
+  live_.cert_votes = &r.gauge(
+      "themis_finality_cert_votes",
+      "Voters on the latest formed checkpoint certificate.");
+  live_.snapshot_height = &r.gauge(
+      "themis_snapshot_height",
+      "Anchor height of the latest state snapshot written or restored.");
+  live_.store_replayed = &r.gauge(
+      "themis_store_replayed_blocks", "Block-store records replayed at start.");
+  live_.restored_from_snapshot = &r.gauge(
+      "themis_restored_from_snapshot",
+      "1 when start() restored the state from a snapshot, else 0.");
+  // Instantaneous values other components already maintain atomically are
+  // read at scrape time instead of being mirrored on the hot path.
   r.gauge_fn("themis_pool_depth", "Pending transactions in the TxPool.",
              [this] { return static_cast<double>(pool_.size()); });
   r.gauge_fn("themis_ready_peers", "Handshake-complete peer connections.",
              [this] { return static_cast<double>(peers_->ready_peer_count()); });
-  r.gauge_fn("themis_head_height", "Height of the fork-choice head.",
-             [this] { return static_cast<double>(head_height()); });
   r.gauge_fn("themis_uptime_seconds", "Seconds since the node started.",
              [this] { return uptime_seconds(); });
-  r.gauge_fn("themis_finality_height",
-             "Highest hard-finalized checkpoint height.", [this] {
-               std::lock_guard<std::mutex> lock(mu_);
-               return static_cast<double>(stats_.finalized_height);
-             });
-  r.gauge_fn("themis_finality_lag_blocks",
-             "Blocks between the fork-choice head and the finalized height.",
-             [this] {
-               std::lock_guard<std::mutex> lock(mu_);
-               const std::uint64_t head = tracker_.head_height();
-               return static_cast<double>(
-                   head > stats_.finalized_height
-                       ? head - stats_.finalized_height
-                       : 0);
-             });
-  r.gauge_fn("themis_finality_cert_votes",
-             "Voters on the latest formed checkpoint certificate.", [this] {
-               std::lock_guard<std::mutex> lock(mu_);
-               if (!ckpt_.has_value()) return 0.0;
-               const finality::CheckpointCertificate* cert =
-                   ckpt_->latest_certificate();
-               return cert == nullptr
-                          ? 0.0
-                          : static_cast<double>(cert->voters.size());
-             });
   r.gauge_fn("themis_p2p_bytes_in", "Transport bytes received.",
              [this] { return static_cast<double>(peers_->stats().bytes_in); });
   r.gauge_fn("themis_p2p_bytes_out", "Transport bytes sent.",
              [this] { return static_cast<double>(peers_->stats().bytes_out); });
+}
+
+void P2pNode::publish_chain_gauges_locked() {
+  const std::uint64_t head = tracker_.head_height();
+  const std::uint64_t finalized = tracker_.finalized_height();
+  live_.head_height->set(static_cast<std::int64_t>(head));
+  live_.finalized_height->set(static_cast<std::int64_t>(finalized));
+  live_.finality_lag->set(
+      static_cast<std::int64_t>(head > finalized ? head - finalized : 0));
 }
 
 P2pNode::~P2pNode() { stop(); }
@@ -236,6 +279,7 @@ P2pNode::~P2pNode() { stop(); }
 bool P2pNode::start() {
   expects(!started_, "p2p node already started");
   start_time_ = std::chrono::steady_clock::now();
+  std::uint64_t replayed = 0;  ///< block-store records recovered
 
   if (!config_.datadir.empty()) {
     std::filesystem::create_directories(config_.datadir);
@@ -258,34 +302,36 @@ bool P2pNode::start() {
             std::make_shared<const Block>(*std::move(root_block)));
         state_.reset_base(snap->state);
         last_snapshot_height_ = snap->height;
-        stats_.snapshot_height = snap->height;
-        stats_.restored_from_snapshot = true;
+        live_.snapshot_height->set(static_cast<std::int64_t>(snap->height));
+        live_.restored_from_snapshot->set(1);
         rerooted = true;
-        stats_.store_replayed = store_->replay_into(tree_, snap->height + 1);
+        replayed = store_->replay_into(tree_, snap->height + 1);
         obs::live::log_info(
             "chain", "restored from snapshot",
             {{"height", snap->height},
              {"accounts",
               static_cast<std::uint64_t>(snap->state.accounts().size())},
-             {"replayed", stats_.store_replayed}});
+             {"replayed", replayed}});
       } else {
         obs::live::log_warn("chain",
                             "snapshot block missing from store; full replay",
                             {{"height", snap->height}});
       }
     }
-    if (!rerooted) stats_.store_replayed = store_->replay_into(tree_);
-    if (stats_.store_replayed > 0 || rerooted) {
+    if (!rerooted) replayed = store_->replay_into(tree_);
+    live_.store_replayed->set(static_cast<std::int64_t>(replayed));
+    if (replayed > 0 || rerooted) {
       tracker_.reset(tree_, *rule_, tree_.genesis_hash(),
                      config_.finality_depth);
       // The confirmed-tx index covers the replayed main chain, so tx_status
       // and duplicate suppression survive a restart.
       reconciler_.rebuild(tree_, tracker_.head());
+      publish_chain_gauges_locked();
     }
   }
   trace("node_start", {obs::Field::u64("node", config_.id),
-                       obs::Field::u64("replayed", stats_.store_replayed),
-                       obs::Field::u64("height", tracker_.head_height())});
+                       obs::Field::u64("replayed", replayed),
+                       obs::Field::u64("height", head_height())});
 
   if (!peers_->start()) {
     obs::live::log_error("node", "listen failed",
@@ -298,7 +344,7 @@ bool P2pNode::start() {
       {{"id", static_cast<std::uint64_t>(config_.id)},
        {"port", static_cast<std::uint64_t>(peers_->listen_port())},
        {"height", head_height()},
-       {"replayed", chain_stats().store_replayed},
+       {"replayed", replayed},
        {"mining", config_.mine}});
 
   mining_enabled_.store(config_.mine);
@@ -318,9 +364,20 @@ void P2pNode::stop() {
                        {"height", head_height()}});
 }
 
+namespace {
+/// The node whose mine_loop runs on this thread (null elsewhere), so
+/// set_mining(false) from a head listener never waits for itself.
+thread_local const P2pNode* t_mining_node = nullptr;
+}  // namespace
+
 void P2pNode::set_mining(bool enabled) {
   mining_enabled_.store(enabled);
   miner_cv_.notify_all();
+  if (enabled || t_mining_node == this) return;
+  // The miner parks only between rounds, after submitting whatever it
+  // solved; before start() and after stop() it is parked already.
+  std::unique_lock<std::mutex> lock(miner_mu_);
+  miner_cv_.wait(lock, [this] { return miner_parked_; });
 }
 
 std::int64_t P2pNode::wall_nanos() const {
@@ -386,8 +443,8 @@ void P2pNode::request_sync(Peer& peer) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     request.locator = build_locator(tree_, tracker_.head());
-    ++stats_.sync_rounds;
   }
+  live_.sync_rounds->inc();
   request.max_blocks = static_cast<std::uint32_t>(kMaxSyncBlocks);
   peer.send_frame(consensus::kP2pGetBlocks, request.encode());
 }
@@ -437,10 +494,10 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload) {
   const std::int64_t now = steady_ms();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.invs_received += inv.hashes.size();
+    live_.invs_received->inc(inv.hashes.size());
     for (const BlockHash& h : inv.hashes) {
       if (tree_.contains(h)) {
-        ++stats_.invs_redundant;
+        live_.invs_redundant->inc();
         continue;
       }
       const auto it = requested_.find(h);
@@ -494,9 +551,9 @@ void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
     for (const BlockPtr& block : range) {
       response.blocks.push_back(block->encode());
     }
-    ++stats_.sync_requests_served;
-    stats_.sync_blocks_served += range.size();
   }
+  live_.sync_requests_served->inc();
+  live_.sync_blocks_served->inc(response.blocks.size());
   trace("sync_served", {obs::Field::u64("node", config_.id),
                         obs::Field::u64("remote", peer.remote().node_id),
                         obs::Field::u64("blocks", response.blocks.size())});
@@ -539,10 +596,10 @@ void P2pNode::handle_tx_inv(Peer& peer, ByteSpan payload) {
   const std::int64_t now = steady_ms();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.tx_invs_received += inv.hashes.size();
+    live_.tx_invs_received->inc(inv.hashes.size());
     for (const ledger::TxId& id : inv.hashes) {
       if (pool_.contains(id) || reconciler_.block_of(id).has_value()) {
-        ++stats_.tx_invs_redundant;
+        live_.tx_invs_redundant->inc();
         continue;
       }
       const auto it = requested_tx_.find(id);
@@ -589,10 +646,7 @@ void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
     batch.txs.push_back(std::move(encoded));
   }
   flush_batch();
-  if (served > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.txs_relayed += served;
-  }
+  live_.txs_relayed->inc(served);
 }
 
 void P2pNode::handle_tx(Peer& peer, ByteSpan payload) {
@@ -602,9 +656,9 @@ void P2pNode::handle_tx(Peer& peer, ByteSpan payload) {
   const auto stx = ledger::SignedTransaction::decode(payload);
   const ledger::TxId id = stx.tx.id();
   peer.mark_known(id);
+  live_.txs_received->inc();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.txs_received;
     requested_tx_.erase(id);
   }
   accept_transaction(stx, peer.session_id());
@@ -618,9 +672,9 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
   for (const Bytes& raw : batch.txs) {
     stxs.push_back(ledger::SignedTransaction::decode(raw));
   }
+  live_.txs_received->inc(stxs.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.txs_received += stxs.size();
     for (const ledger::SignedTransaction& stx : stxs) {
       requested_tx_.erase(stx.tx.id());
     }
@@ -650,13 +704,11 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!ckpt_.has_value()) return;  // overlay disabled: tolerated frame
-    ++stats_.ckpt_votes_received;
     live_.ckpt_votes_received->inc();
     const finality::VoteOutcome outcome = ckpt_->add_vote(vote);
     switch (outcome) {
       case finality::VoteOutcome::accepted:
       case finality::VoteOutcome::quorum:
-        ++stats_.ckpt_votes_accepted;
         live_.ckpt_votes_accepted->inc();
         relay = true;
         break;
@@ -664,15 +716,14 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
       case finality::VoteOutcome::stale:
         break;  // benign gossip races, not protocol violations
       default:
-        ++stats_.ckpt_votes_rejected;
         live_.ckpt_votes_rejected->inc();
         break;
     }
     if (outcome == finality::VoteOutcome::quorum) {
-      ++stats_.ckpt_certs_formed;
-      live_.ckpt_certs->inc();
+      live_.ckpt_certs_formed->inc();
       if (const finality::CheckpointCertificate* cert =
               ckpt_->certificate(vote.height)) {
+        live_.cert_votes->set(static_cast<std::int64_t>(cert->voters.size()));
         if (tree_.contains(cert->block)) {
           forced = apply_certificate_locked(*cert);
         } else {
@@ -804,7 +855,6 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (AdmitRequest* r : batch) {
-      ++stats_.txs_submitted;
       TxAdmit& admit = r->result;
       const ledger::Transaction& tx = r->stx->tx;
       if (admit == TxAdmit::accepted) {
@@ -830,16 +880,13 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
       live_.txs_submitted->inc();
       switch (admit) {
         case TxAdmit::accepted:
-          ++stats_.txs_accepted;
           live_.txs_accepted->inc();
           break;
         case TxAdmit::duplicate:
         case TxAdmit::known_confirmed:
-          ++stats_.txs_duplicate;
           live_.txs_duplicate->inc();
           break;
         default:
-          ++stats_.txs_rejected;
           live_.txs_rejected->inc();
           break;
       }
@@ -934,13 +981,10 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const BlockHash old_head = tracker_.head();
-    if (source_session != 0) {
-      ++stats_.blocks_received;
-      live_.blocks_received->inc();
-    }
+    if (source_session != 0) live_.blocks_received->inc();
     requested_.erase(id);
     if (tree_.contains(id)) {
-      if (source_session != 0) ++stats_.blocks_duplicate;
+      if (source_session != 0) live_.blocks_duplicate->inc();
       return false;
     }
 
@@ -956,7 +1000,6 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
       // Request outside the lock (below) to keep lock scope tight.
     } else {
       if (!validate_locked(*block)) {
-        ++stats_.blocks_rejected;
         live_.blocks_rejected->inc();
         obs::live::log_warn("chain", "block rejected",
                             {{"hash", short_hex(id)},
@@ -990,7 +1033,7 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
           for (BlockPtr& w : waiting) {
             if (tree_.contains(w->id())) continue;
             if (!validate_locked(*w)) {
-              ++stats_.blocks_rejected;
+              live_.blocks_rejected->inc();
               continue;
             }
             ready.push_back(std::move(w));
@@ -1001,23 +1044,14 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
                                              /*batch_is_leaf=*/batch_size == 1);
       head_changed = update.head_changed;
       reorged = update.reorg;
-      if (update.below_finalized) ++stats_.reorgs_refused_finality;
-      if (update.reorg) {
-        ++stats_.reorgs;
-        live_.reorgs->inc();
-      }
-      if (head_changed) live_.head_changes->inc();
+      if (update.below_finalized) live_.reorgs_refused_finality->inc();
+      if (update.reorg) live_.reorgs->inc();
       if (head_changed) {
+        live_.head_changes->inc();
         tree_.set_aggregate_floor(tracker_.anchor_height());
         new_height = tracker_.head_height();
-        // Reconcile the pool with the new main chain: confirmed txs leave,
-        // reorg-abandoned ones return, permanently stale ones are purged.
-        const auto rec = reconciler_.on_head_change(
-            tree_, old_head, tracker_.head(), pool_,
-            state_.state_at(tree_, tracker_.head()));
-        stats_.txs_confirmed += rec.confirmed;
-        stats_.txs_returned += rec.returned;
-        stats_.txs_purged += rec.purged;
+        publish_chain_gauges_locked();
+        reconcile_pool_locked(old_head);
         maybe_snapshot_locked();
       }
       // Finality overlay: an inserted block may be the one a parked quorum
@@ -1133,15 +1167,14 @@ void P2pNode::maybe_vote_locked(std::vector<finality::CheckpointVote>& out) {
         outcome != finality::VoteOutcome::quorum) {
       continue;
     }
-    ++stats_.ckpt_votes_sent;
     live_.ckpt_votes_sent->inc();
     out.push_back(vote);
     if (outcome == finality::VoteOutcome::quorum) {
-      ++stats_.ckpt_certs_formed;
-      live_.ckpt_certs->inc();
+      live_.ckpt_certs_formed->inc();
       // Our vote is for a block on the preferred path, so applying the
       // certificate can never force-switch the head here.
       if (const finality::CheckpointCertificate* cert = ckpt_->certificate(h)) {
+        live_.cert_votes->set(static_cast<std::int64_t>(cert->voters.size()));
         apply_certificate_locked(*cert);
       }
     }
@@ -1159,11 +1192,11 @@ bool P2pNode::apply_certificate_locked(
                          {"hash", short_hex(cert.block)}});
     return false;
   }
-  if (cert.height <= stats_.finalized_height) return false;  // monotone
+  if (cert.height <= tracker_.finalized_height()) return false;  // monotone
 
   const BlockHash old_head = tracker_.head();
   const bool head_changed = tracker_.set_finalized(tree_, *rule_, cert.block);
-  stats_.finalized_height = cert.height;
+  publish_chain_gauges_locked();
   // Every downstream floor keys off the hard anchor from here on: state pins,
   // pool confirmation immutability, tree aggregate pruning, snapshots.
   state_.set_finalized_floor(cert.height);
@@ -1172,15 +1205,9 @@ bool P2pNode::apply_certificate_locked(
   if (head_changed) {
     // Hard finality outranked the local weight race: reconcile the pool with
     // the certified chain exactly as a reorg would.
-    ++stats_.reorgs;
     live_.reorgs->inc();
     live_.head_changes->inc();
-    const auto rec = reconciler_.on_head_change(
-        tree_, old_head, tracker_.head(), pool_,
-        state_.state_at(tree_, tracker_.head()));
-    stats_.txs_confirmed += rec.confirmed;
-    stats_.txs_returned += rec.returned;
-    stats_.txs_purged += rec.purged;
+    reconcile_pool_locked(old_head);
   }
   maybe_snapshot_locked();
   obs::live::log_info(
@@ -1201,7 +1228,7 @@ bool P2pNode::drain_pending_certs_locked() {
   bool forced = false;
   auto it = pending_certs_.begin();
   while (it != pending_certs_.end()) {
-    if (it->height <= stats_.finalized_height) {
+    if (it->height <= tracker_.finalized_height()) {
       it = pending_certs_.erase(it);  // superseded by a later checkpoint
     } else if (tree_.contains(it->block)) {
       forced = apply_certificate_locked(*it) || forced;
@@ -1218,12 +1245,19 @@ bool P2pNode::drain_pending_certs_locked() {
 // ---------------------------------------------------------------------------
 
 void P2pNode::mine_loop() {
+  t_mining_node = this;
   Rng rng(config_.rng_seed * 0x2545f4914f6cdd1dULL + config_.id + 1);
   while (!stopping_.load()) {
-    if (!mining_enabled_.load()) {
+    {
+      // The enabled check and the parked flag change together under
+      // miner_mu_, so set_mining(false) cannot see a stale "parked".
       std::unique_lock<std::mutex> lock(miner_mu_);
-      miner_cv_.wait_for(lock, std::chrono::milliseconds(200));
-      continue;
+      miner_parked_ = !mining_enabled_.load();
+      if (miner_parked_) {
+        miner_cv_.notify_all();
+        miner_cv_.wait_for(lock, std::chrono::milliseconds(200));
+        continue;
+      }
     }
 
     // Snapshot the mining target under the consensus lock.
@@ -1274,11 +1308,7 @@ void P2pNode::mine_loop() {
       if (keypair_.has_value()) signature = keypair_->sign(solved->hash());
       auto block =
           std::make_shared<const Block>(*solved, signature, std::move(body));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.blocks_produced;
-      }
-      live_.blocks_mined->inc();
+      live_.blocks_produced->inc();
       obs::live::log_debug(
           "miner", "block mined",
           {{"hash", short_hex(block->id())},
@@ -1292,6 +1322,11 @@ void P2pNode::mine_loop() {
       break;  // resample against the (possibly new) head
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(miner_mu_);
+    miner_parked_ = true;
+  }
+  miner_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -1324,8 +1359,44 @@ bool P2pNode::contains(const BlockHash& id) const {
 }
 
 P2pNode::ChainStats P2pNode::chain_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  const auto gauge = [](const obs::live::Gauge* g) {
+    return static_cast<std::uint64_t>(g->get());
+  };
+  ChainStats s;
+  s.blocks_produced = live_.blocks_produced->get();
+  s.blocks_rejected = live_.blocks_rejected->get();
+  s.reorgs = live_.reorgs->get();
+  s.invs_received = live_.invs_received->get();
+  s.invs_redundant = live_.invs_redundant->get();
+  s.blocks_received = live_.blocks_received->get();
+  s.blocks_duplicate = live_.blocks_duplicate->get();
+  s.sync_requests_served = live_.sync_requests_served->get();
+  s.sync_blocks_served = live_.sync_blocks_served->get();
+  s.sync_rounds = live_.sync_rounds->get();
+  s.store_replayed = gauge(live_.store_replayed);
+  s.snapshots_written = live_.snapshots_written->get();
+  s.snapshot_height = gauge(live_.snapshot_height);
+  s.blocks_pruned = live_.blocks_pruned->get();
+  s.restored_from_snapshot = live_.restored_from_snapshot->get() != 0;
+  s.finalized_height = gauge(live_.finalized_height);
+  s.ckpt_votes_sent = live_.ckpt_votes_sent->get();
+  s.ckpt_votes_received = live_.ckpt_votes_received->get();
+  s.ckpt_votes_accepted = live_.ckpt_votes_accepted->get();
+  s.ckpt_votes_rejected = live_.ckpt_votes_rejected->get();
+  s.ckpt_certs_formed = live_.ckpt_certs_formed->get();
+  s.reorgs_refused_finality = live_.reorgs_refused_finality->get();
+  s.txs_submitted = live_.txs_submitted->get();
+  s.txs_accepted = live_.txs_accepted->get();
+  s.txs_rejected = live_.txs_rejected->get();
+  s.txs_duplicate = live_.txs_duplicate->get();
+  s.txs_relayed = live_.txs_relayed->get();
+  s.tx_invs_received = live_.tx_invs_received->get();
+  s.tx_invs_redundant = live_.tx_invs_redundant->get();
+  s.txs_received = live_.txs_received->get();
+  s.txs_confirmed = live_.txs_confirmed->get();
+  s.txs_returned = live_.txs_returned->get();
+  s.txs_purged = live_.txs_purged->get();
+  return s;
 }
 
 double P2pNode::uptime_seconds() const {
@@ -1454,6 +1525,15 @@ P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
   return result;
 }
 
+void P2pNode::reconcile_pool_locked(const BlockHash& old_head) {
+  const auto rec = reconciler_.on_head_change(
+      tree_, old_head, tracker_.head(), pool_,
+      state_.state_at(tree_, tracker_.head()));
+  live_.txs_confirmed->inc(rec.confirmed);
+  live_.txs_returned->inc(rec.returned);
+  live_.txs_purged->inc(rec.purged);
+}
+
 void P2pNode::maybe_snapshot_locked() {
   if (config_.snapshot_interval == 0 || config_.datadir.empty()) return;
   const std::uint64_t anchor_height = tracker_.anchor_height();
@@ -1475,15 +1555,15 @@ void P2pNode::maybe_snapshot_locked() {
   // since this one, not the whole chain from the tree root.
   state_.pin_anchor(tree_, anchor);
   last_snapshot_height_ = anchor_height;
-  stats_.snapshot_height = anchor_height;
-  ++stats_.snapshots_written;
+  live_.snapshot_height->set(static_cast<std::int64_t>(anchor_height));
+  live_.snapshots_written->inc();
   obs::live::log_info(
       "chain", "snapshot written",
       {{"height", anchor_height},
        {"accounts", static_cast<std::uint64_t>(snap.state.accounts().size())}});
   if (config_.prune && store_ != nullptr) {
     const std::size_t removed = store_->prune_below(anchor_height);
-    stats_.blocks_pruned += removed;
+    live_.blocks_pruned->inc(removed);
     if (removed > 0) {
       obs::live::log_info("chain", "pruned block store",
                           {{"below", anchor_height},
@@ -1530,12 +1610,12 @@ P2pNode::FinalityInfo P2pNode::finality_info() const {
   info.head_height = tracker_.head_height();
   if (!ckpt_.has_value()) return info;
   info.interval = ckpt_->interval();
-  info.finalized_height = stats_.finalized_height;
+  info.finalized_height = tracker_.finalized_height();
   info.lag = info.head_height > info.finalized_height
                  ? info.head_height - info.finalized_height
                  : 0;
   if (const finality::CheckpointCertificate* cert =
-          ckpt_->certificate(stats_.finalized_height)) {
+          ckpt_->certificate(info.finalized_height)) {
     info.finalized_block = cert->block;
     info.latest_votes = cert->voters.size();
   }
@@ -1559,77 +1639,6 @@ std::uint64_t P2pNode::next_nonce_hint(ledger::NodeId sender) const {
         state_.state_at(tree_, tracker_.head()).account(sender).next_nonce;
   }
   return pool_.next_nonce_hint(sender, state_next);
-}
-
-void P2pNode::fill_observability() {
-  if (obs_ == nullptr) return;
-  const ChainStats chain = chain_stats();
-  const PeerManager::Stats transport = peers_->stats();
-  obs::Counters& counters = obs_->counters;
-
-  counters.counter("chain.height") = head_height();
-  counters.counter("chain.tree_blocks") = tree_blocks();
-  counters.counter("chain.store_blocks") = store_blocks();
-  counters.counter("chain.store_replayed") = chain.store_replayed;
-  counters.counter("consensus.blocks_produced") = chain.blocks_produced;
-  counters.counter("consensus.blocks_rejected") = chain.blocks_rejected;
-  counters.counter("consensus.reorgs") = chain.reorgs;
-
-  counters.counter("finality.height") = chain.finalized_height;
-  counters.counter("finality.votes_sent") = chain.ckpt_votes_sent;
-  counters.counter("finality.votes_received") = chain.ckpt_votes_received;
-  counters.counter("finality.votes_accepted") = chain.ckpt_votes_accepted;
-  counters.counter("finality.votes_rejected") = chain.ckpt_votes_rejected;
-  counters.counter("finality.certificates") = chain.ckpt_certs_formed;
-  counters.counter("finality.reorgs_refused") = chain.reorgs_refused_finality;
-
-  counters.counter("p2p.bytes_in") = transport.bytes_in;
-  counters.counter("p2p.bytes_out") = transport.bytes_out;
-  counters.counter("p2p.connections_accepted") = transport.connections_accepted;
-  counters.counter("p2p.dials_attempted") = transport.dials_attempted;
-  counters.counter("p2p.dials_failed") = transport.dials_failed;
-  counters.counter("p2p.reconnects") = transport.reconnects;
-  counters.counter("p2p.handshakes_rejected") = transport.handshakes_rejected;
-  counters.counter("p2p.protocol_errors") = transport.protocol_errors;
-  counters.counter("p2p.disconnects") = transport.disconnects;
-  counters.counter("p2p.pings_sent") = transport.pings_sent;
-  counters.counter("p2p.pongs_received") = transport.pongs_received;
-  counters.counter("p2p.ping_timeouts") = transport.ping_timeouts;
-
-  counters.counter("p2p.invs_received") = chain.invs_received;
-  counters.counter("p2p.invs_redundant") = chain.invs_redundant;
-  counters.counter("p2p.blocks_received") = chain.blocks_received;
-  counters.counter("p2p.blocks_duplicate") = chain.blocks_duplicate;
-  counters.counter("p2p.sync_requests_served") = chain.sync_requests_served;
-  counters.counter("p2p.sync_blocks_served") = chain.sync_blocks_served;
-  counters.counter("p2p.sync_rounds") = chain.sync_rounds;
-  obs_->counters.series("p2p.redundant_announce_ratio")
-      .push_back(redundant_announce_ratio());
-
-  counters.counter("tx.submitted") = chain.txs_submitted;
-  counters.counter("tx.accepted") = chain.txs_accepted;
-  counters.counter("tx.rejected") = chain.txs_rejected;
-  counters.counter("tx.duplicate") = chain.txs_duplicate;
-  counters.counter("tx.relayed") = chain.txs_relayed;
-  counters.counter("tx.received") = chain.txs_received;
-  counters.counter("tx.invs_received") = chain.tx_invs_received;
-  counters.counter("tx.invs_redundant") = chain.tx_invs_redundant;
-  counters.counter("tx.confirmed") = chain.txs_confirmed;
-  counters.counter("tx.returned") = chain.txs_returned;
-  counters.counter("tx.purged") = chain.txs_purged;
-  counters.counter("tx.pool_depth") = pool_.size();
-  counters.series("tx.pool_depth").push_back(static_cast<double>(pool_.size()));
-
-  // Per-peer traffic, attributed to the remote's consensus node id.
-  for (const auto& peer : peers_->ready_peers()) {
-    obs::LinkStat& link = counters.link(
-        static_cast<std::uint32_t>(config_.id),
-        static_cast<std::uint32_t>(peer->remote().node_id));
-    link.messages = peer->frames_in.load(std::memory_order_relaxed) +
-                    peer->frames_out.load(std::memory_order_relaxed);
-    link.bytes = peer->bytes_in.load(std::memory_order_relaxed) +
-                 peer->bytes_out.load(std::memory_order_relaxed);
-  }
 }
 
 }  // namespace themis::p2p

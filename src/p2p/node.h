@@ -22,6 +22,12 @@
 // and the grinder re-checks it between nonce chunks (the real-clock analogue
 // of the simulator's memoryless mining restart).
 //
+// Counting: the live registry is the node's only counter store.  Every event
+// bumps one registry counter through a cached pointer, state values (head
+// height, finalized height, snapshot height, ...) are registry gauges set
+// under mu_ where they change, and chain_stats() is a lock-free view of
+// both — so a /metrics.prom scrape never takes mu_.
+//
 // Transaction pipeline (the client-facing half, §III "pick transactions from
 // the transaction pool"): submit_transaction() — called by the RPC gateway
 // and by the kP2pTx handler — runs the admission checks (canonical form,
@@ -178,15 +184,16 @@ class P2pNode {
   void stop();
 
   /// Toggle the miner at runtime (an observer node serves sync + relays).
+  /// Turning it off returns once the miner thread has parked, so a block it
+  /// had already solved is submitted before the call returns.  It does not
+  /// wait when called on the miner thread, before start() or after stop().
   void set_mining(bool enabled);
   bool mining() const { return mining_enabled_.load(); }
 
   /// Attach an observability bundle BEFORE start(); trace events are
-  /// buffered (thread-safe, wall-clock nanoseconds since start()) and
-  /// fill_observability() snapshots the counters on demand.
+  /// buffered into its tracer (thread-safe, wall-clock nanoseconds since
+  /// start()).
   void set_observability(obs::Observability* obs) { obs_ = obs; }
-  /// Write p2p/chain counters and per-peer link traffic into the bundle.
-  void fill_observability();
 
   /// Invoked (on an internal thread) after every head change.
   void set_head_listener(std::function<void(const P2pNode&)> fn) {
@@ -194,9 +201,9 @@ class P2pNode {
   }
 
   // --- live telemetry --------------------------------------------------------
-  // Always-on (compiled to no-ops under THEMIS_MIN_TELEMETRY): the node owns
-  // the live registry and tx-lifecycle tracker; the RPC gateway registers its
-  // own families into the same registry so one scrape covers the whole node.
+  // The node owns the live registry and tx-lifecycle tracker; the RPC gateway
+  // registers its own families into the same registry so one scrape covers
+  // the whole node.
   obs::live::Registry& live_registry() { return live_registry_; }
   const obs::live::Registry& live_registry() const { return live_registry_; }
   obs::live::StageTracker& stage_tracker() { return stage_tracker_; }
@@ -224,6 +231,8 @@ class P2pNode {
   PeerManager::Stats transport_stats() const { return peers_->stats(); }
   const P2pNodeConfig& config() const { return config_; }
 
+  /// A lock-free view of the live registry: each field reads the counter or
+  /// gauge that is the only store of its value (see register_live_metrics).
   struct ChainStats {
     std::uint64_t blocks_produced = 0;   ///< mined by this node
     std::uint64_t blocks_rejected = 0;   ///< failed §III validation
@@ -409,6 +418,9 @@ class P2pNode {
   /// Bring root_cache_ up to the current head: incremental page re-hash when
   /// the head advanced over recorded deltas, full rebuild otherwise.
   const Hash32& ensure_root_locked() const;
+  /// Reconcile the pool after the head moved off `old_head`: confirmed txs
+  /// leave, reorg-abandoned ones return, permanently stale ones are purged.
+  void reconcile_pool_locked(const ledger::BlockHash& old_head);
   /// Snapshot (and optionally prune) once the anchor has advanced
   /// snapshot_interval blocks past the last snapshot.
   void maybe_snapshot_locked();
@@ -435,6 +447,9 @@ class P2pNode {
   /// Register every node-level live metric (called once from the ctor; the
   /// hot paths bump the cached pointers in live_, never look up by name).
   void register_live_metrics();
+  /// Set the head-height, finalized-height and finality-lag gauges from the
+  /// head tracker (after any head change or finalization).
+  void publish_chain_gauges_locked();
 
   P2pNodeConfig config_;
   std::shared_ptr<consensus::ForkChoiceRule> rule_;
@@ -480,7 +495,6 @@ class P2pNode {
   /// unknown blocks are counted; the finalization itself waits for the
   /// block).  Drained after every tree insert.
   std::vector<finality::CheckpointCertificate> pending_certs_;
-  ChainStats stats_;
 
   /// Pending transactions.  Internally synchronized; see the lock-order rule
   /// in the header comment.
@@ -498,7 +512,12 @@ class P2pNode {
   // --- miner -----------------------------------------------------------------
   std::thread miner_thread_;
   std::mutex miner_mu_;
+  /// Wakes the parked miner (mining toggled, head changed, stop) and the
+  /// set_mining(false) callers waiting for it to park.
   std::condition_variable miner_cv_;
+  /// True while the miner thread is not mining a round (parked, not started
+  /// or exited); guarded by miner_mu_.
+  bool miner_parked_ = true;
   std::atomic<bool> mining_enabled_{false};
   std::atomic<std::uint64_t> chain_version_{0};
   std::atomic<bool> stopping_{false};
@@ -514,21 +533,45 @@ class P2pNode {
   obs::live::Registry live_registry_;
   obs::live::StageTracker stage_tracker_{live_registry_};
   /// Cached metric pointers, registered once in register_live_metrics().
-  struct LiveCounters {
-    obs::live::Counter* txs_submitted = nullptr;
-    obs::live::Counter* txs_accepted = nullptr;
-    obs::live::Counter* txs_rejected = nullptr;
-    obs::live::Counter* txs_duplicate = nullptr;
-    obs::live::Counter* blocks_mined = nullptr;
-    obs::live::Counter* blocks_received = nullptr;
+  /// Members named after a ChainStats field back that field.
+  struct LiveMetrics {
+    obs::live::Counter* blocks_produced = nullptr;
     obs::live::Counter* blocks_rejected = nullptr;
-    obs::live::Counter* head_changes = nullptr;
     obs::live::Counter* reorgs = nullptr;
+    obs::live::Counter* head_changes = nullptr;
+    obs::live::Counter* invs_received = nullptr;
+    obs::live::Counter* invs_redundant = nullptr;
+    obs::live::Counter* blocks_received = nullptr;
+    obs::live::Counter* blocks_duplicate = nullptr;
+    obs::live::Counter* sync_requests_served = nullptr;
+    obs::live::Counter* sync_blocks_served = nullptr;
+    obs::live::Counter* sync_rounds = nullptr;
+    obs::live::Counter* snapshots_written = nullptr;
+    obs::live::Counter* blocks_pruned = nullptr;
     obs::live::Counter* ckpt_votes_sent = nullptr;
     obs::live::Counter* ckpt_votes_received = nullptr;
     obs::live::Counter* ckpt_votes_accepted = nullptr;
     obs::live::Counter* ckpt_votes_rejected = nullptr;
-    obs::live::Counter* ckpt_certs = nullptr;
+    obs::live::Counter* ckpt_certs_formed = nullptr;
+    obs::live::Counter* reorgs_refused_finality = nullptr;
+    obs::live::Counter* txs_submitted = nullptr;
+    obs::live::Counter* txs_accepted = nullptr;
+    obs::live::Counter* txs_rejected = nullptr;
+    obs::live::Counter* txs_duplicate = nullptr;
+    obs::live::Counter* txs_relayed = nullptr;
+    obs::live::Counter* tx_invs_received = nullptr;
+    obs::live::Counter* tx_invs_redundant = nullptr;
+    obs::live::Counter* txs_received = nullptr;
+    obs::live::Counter* txs_confirmed = nullptr;
+    obs::live::Counter* txs_returned = nullptr;
+    obs::live::Counter* txs_purged = nullptr;
+    obs::live::Gauge* head_height = nullptr;
+    obs::live::Gauge* finalized_height = nullptr;
+    obs::live::Gauge* finality_lag = nullptr;
+    obs::live::Gauge* cert_votes = nullptr;
+    obs::live::Gauge* snapshot_height = nullptr;
+    obs::live::Gauge* store_replayed = nullptr;
+    obs::live::Gauge* restored_from_snapshot = nullptr;
     obs::live::Histogram* admit_batch = nullptr;
     obs::live::Histogram* block_submit = nullptr;
   } live_;

@@ -10,7 +10,6 @@ bool Peer::send_frame(std::uint32_t type, ByteSpan payload) {
     return false;
   }
   bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-  frames_out.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

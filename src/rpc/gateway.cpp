@@ -627,22 +627,4 @@ Gateway::Stats Gateway::stats() const {
   return Stats{total_requests_->get(), total_errors_->get()};
 }
 
-std::map<std::string, std::uint64_t> Gateway::method_counts() const {
-  std::map<std::string, std::uint64_t> out;
-  for (const MethodMetrics& m : methods_) {
-    const std::uint64_t count = m.requests->get();
-    if (count > 0) out[m.name] = count;
-  }
-  return out;
-}
-
-void Gateway::fill_observability(obs::Observability& obs) const {
-  obs.counters.counter("rpc.requests") = total_requests_->get();
-  obs.counters.counter("rpc.errors") = total_errors_->get();
-  for (const MethodMetrics& m : methods_) {
-    const std::uint64_t count = m.requests->get();
-    if (count > 0) obs.counters.counter(std::string("rpc.method.") + m.name) = count;
-  }
-}
-
 }  // namespace themis::rpc

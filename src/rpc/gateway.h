@@ -46,17 +46,14 @@
 // synchronized API.  Request accounting is mutex-free: per-method request /
 // error counters and latency histograms live in the node's live registry
 // (registered once at construction, bumped via cached pointers), so one
-// scrape of /metrics.prom covers the RPC layer too.  Under
-// THEMIS_MIN_TELEMETRY builds the bumps compile out and stats() reads zero.
+// scrape of /metrics.prom covers the RPC layer too.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "obs/live/registry.h"
-#include "obs/observability.h"
 #include "p2p/node.h"
 #include "rpc/http_server.h"
 #include "rpc/json.h"
@@ -76,12 +73,6 @@ class Gateway {
     std::uint64_t errors = 0;  ///< responses carrying a JSON-RPC error
   };
   Stats stats() const;
-  /// Per-method request counts (copy; keyed by method name; unknown methods
-  /// aggregate under "other").
-  std::map<std::string, std::uint64_t> method_counts() const;
-
-  /// Write rpc.* counters into an observability bundle.
-  void fill_observability(obs::Observability& obs) const;
 
  private:
   /// Fixed method table: the hot path resolves the method name to a slot

@@ -46,7 +46,6 @@ struct LoggerGuard {
 // --- counters and gauges ----------------------------------------------------
 
 TEST(LiveCounter, IncrementsAndReads) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Counter c;
   EXPECT_EQ(c.get(), 0u);
   c.inc();
@@ -55,7 +54,6 @@ TEST(LiveCounter, IncrementsAndReads) {
 }
 
 TEST(LiveGauge, SetAndAdd) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Gauge g;
   g.set(10);
   g.add(-3);
@@ -81,7 +79,6 @@ TEST(LiveHistogram, BucketIndexBoundaries) {
 }
 
 TEST(LiveHistogram, SnapshotCountsAndMean) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Histogram h;
   h.record_ns(1000);    // bucket 0
   h.record_ns(2000);    // bucket 1
@@ -96,7 +93,6 @@ TEST(LiveHistogram, SnapshotCountsAndMean) {
 }
 
 TEST(LiveHistogram, QuantileInterpolatesInsideBucket) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Histogram h;
   for (int i = 0; i < 100; ++i) h.record_ns(1500);  // all in bucket 1
   const auto snap = h.snapshot();
@@ -126,7 +122,6 @@ TEST(LiveRegistry, FindOrCreateReturnsStableReference) {
 }
 
 TEST(LiveRegistry, SamplesInRegistrationOrder) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   r.counter("first_total", "").inc(1);
   r.counter("second_total", "").inc(2);
@@ -155,7 +150,6 @@ TEST(LiveRegistry, FamilyOfStripsLabels) {
 // --- Prometheus exposition --------------------------------------------------
 
 TEST(Prometheus, GoldenCounterAndGauge) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   r.counter("themis_txs_total", "Transactions seen.").inc(42);
   r.gauge("themis_pool_depth", "Pending transactions.").set(7);
@@ -170,7 +164,6 @@ TEST(Prometheus, GoldenCounterAndGauge) {
 }
 
 TEST(Prometheus, LabeledSamplesShareOneFamilyHeader) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   r.counter("rpc_total{method=\"a\"}", "Requests.").inc(1);
   r.counter("rpc_total{method=\"b\"}", "Requests.").inc(2);
@@ -183,7 +176,6 @@ TEST(Prometheus, LabeledSamplesShareOneFamilyHeader) {
 }
 
 TEST(Prometheus, HistogramExposition) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::Histogram& h = r.histogram("lat_seconds", "Latency.");
   h.record_ns(1000);  // bucket 0, bound 1024ns = 1.024e-06 s
@@ -263,7 +255,6 @@ TEST(LiveLog, ParseLevelNames) {
 // --- stage tracker ----------------------------------------------------------
 
 TEST(StageTracker, StampsAreMonotoneAndFeedTransitions) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r);
   const Hash32 id = make_id(1);
@@ -290,7 +281,6 @@ TEST(StageTracker, StampsAreMonotoneAndFeedTransitions) {
 }
 
 TEST(StageTracker, FirstArrivalWins) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r);
   const Hash32 id = make_id(2);
@@ -304,7 +294,6 @@ TEST(StageTracker, FirstArrivalWins) {
 }
 
 TEST(StageTracker, SkippedStageMeasuresFromLatestEarlier) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r);
   const Hash32 id = make_id(3);
@@ -322,7 +311,6 @@ TEST(StageTracker, SkippedStageMeasuresFromLatestEarlier) {
 }
 
 TEST(StageTracker, StampWithNoPredecessorRecordsNoLatency) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r);
   // e.g. a block arrives carrying a tx the node has never seen at all.
@@ -333,7 +321,6 @@ TEST(StageTracker, StampWithNoPredecessorRecordsNoLatency) {
 }
 
 TEST(StageTracker, EvictsOldestWhenFull) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r, /*capacity=*/16);  // 1 entry per shard
   const Hash32 older = make_id(5, 1);
@@ -347,7 +334,6 @@ TEST(StageTracker, EvictsOldestWhenFull) {
 // --- concurrency storms (ThreadSanitizer targets) ---------------------------
 
 TEST(LiveRegistryStorm, ConcurrentBumpsWithConcurrentScrapes) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::Counter& counter = r.counter("storm_total", "");
   live::Gauge& gauge = r.gauge("storm_gauge", "");
@@ -388,7 +374,6 @@ TEST(LiveRegistryStorm, ConcurrentBumpsWithConcurrentScrapes) {
 }
 
 TEST(StageTrackerStorm, ConcurrentStampsAcrossShards) {
-  if (!live::kTelemetryEnabled) GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
   live::Registry r;
   live::StageTracker tracker(r);
   constexpr int kThreads = 8;

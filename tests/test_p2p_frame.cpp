@@ -13,11 +13,14 @@
 #include <thread>
 
 #include "common/serialize.h"
+#include "consensus/miner.h"
 #include "consensus/wire.h"
+#include "crypto/merkle.h"
 #include "crypto/schnorr.h"
 #include "finality/checkpoint.h"
 #include "ledger/block.h"
 #include "ledger/transaction.h"
+#include "obs/live/prometheus.h"
 #include "p2p/messages.h"
 #include "p2p/node.h"
 #include "p2p/peer_manager.h"
@@ -543,6 +546,41 @@ TEST_F(LiveNodeTxWireTest, BadSignatureCkptVoteRejectedWithoutClose) {
   ASSERT_TRUE(s.send_all(
       encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
+}
+
+TEST_F(LiveNodeTxWireTest, InvalidOrphanIsCountedOnceInViewAndExposition) {
+  // An invalid block delivered before its parent waits in the orphan buffer
+  // and is validated only when the parent arrives.  That rejection must
+  // reach the registry, not just chain_stats().
+  const auto make_block = [](const ledger::BlockHash& prev,
+                             std::uint64_t height, ledger::NodeId signer) {
+    ledger::BlockHeader header;
+    header.height = height;
+    header.prev = prev;
+    header.producer = 3;
+    header.difficulty = P2pNodeConfig{}.difficulty;
+    header.merkle_root = crypto::merkle_root({});
+    const auto solved = consensus::RealMiner::mine(header, 0, 1u << 24);
+    EXPECT_TRUE(solved.has_value());
+    return ledger::Block(
+        *solved, crypto::Keypair::from_node_id(signer).sign(solved->hash()),
+        {});
+  };
+  const ledger::Block parent =
+      make_block(ledger::Block::genesis().id(), 1, /*signer=*/3);
+  // Signed by a key other than the producer's: fails validation.
+  const ledger::Block forged = make_block(parent.id(), 2, /*signer=*/2);
+
+  TcpSocket s = dial_and_handshake();
+  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pBlock, forged.encode())));
+  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pBlock, parent.encode())));
+  ASSERT_TRUE(wait_until([this] { return node_->head_height() == 1; }));
+  EXPECT_EQ(node_->chain_stats().blocks_rejected, 1u);
+  EXPECT_EQ(node_->chain_stats().blocks_received, 2u);
+  const std::string text =
+      obs::live::render_prometheus(node_->live_registry());
+  EXPECT_NE(text.find("\nthemis_blocks_rejected_total 1\n"), std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -588,20 +588,122 @@ TEST_F(P2pIntegrationTest, ReorgBelowFinalizedRefusedOnEveryNode) {
   EXPECT_TRUE(revived->contains(solo_head));  // branch kept, just dethroned
 }
 
-TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
-  obs::Observability obs;
-  P2pNodeConfig config = base_config(0, 1);
-  config.mine = true;
-  P2pNode node(std::move(config));
-  node.set_observability(&obs);
-  ASSERT_TRUE(node.start());
-  ASSERT_TRUE(wait_until([&] { return node.head_height() >= 2; }, 120s));
-  node.stop();
-  node.fill_observability();
+TEST_F(P2pIntegrationTest, ChainStatsIsExactlyTheRegistry) {
+  // chain_stats() is a view of the live registry: after a 2-node run with
+  // mining, transfers, finality and snapshots, every field equals the
+  // registry sample that stores it.  The table below pins the field-to-
+  // family mapping the exposition and the JSON views rely on.  One miner:
+  // two racing miners can split deeper than finality_depth, and a split
+  // that deep never heals or certifies.
+  ckpt_interval_ = 2;
+  for (std::size_t id = 0; id < 2; ++id) {
+    P2pNodeConfig config = base_config(id, 2);
+    config.mine = id == 0;
+    config.finality_depth = 4;
+    config.snapshot_interval = 2;
+    if (id == 1) {
+      config.peers.push_back("127.0.0.1:" +
+                             std::to_string(nodes_[0]->listen_port()));
+    }
+    nodes_.push_back(std::make_unique<P2pNode>(std::move(config)));
+    ASSERT_TRUE(nodes_.back()->start());
+  }
+  P2pNode* a = nodes_[0].get();
+  P2pNode* b = nodes_[1].get();
+  ASSERT_TRUE(wait_until(
+      [&] { return a->ready_peer_count() == 1 && b->ready_peer_count() == 1; },
+      30s));
+  for (std::uint64_t n = 1; n <= 3; ++n) {
+    const auto stx = ledger::sign_transaction(state::make_transfer_tx(
+        0, n, static_cast<std::int64_t>(n), state::Transfer{1, 10 * n, {}}));
+    ASSERT_EQ(a->submit_transaction(stx), TxAdmit::accepted);
+  }
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (P2pNode* node : {a, b}) {
+          const auto s = node->chain_stats();
+          if (s.txs_confirmed < 3 || s.finalized_height < 2 ||
+              s.snapshots_written < 1) {
+            return false;
+          }
+        }
+        return true;
+      },
+      240s));
+  a->set_mining(false);
+  ASSERT_TRUE(wait_until([&] { return heads_equal({a, b}); }, 60s));
+  // Stopped nodes count nothing more, so the view and the samples agree.
+  for (P2pNode* node : {a, b}) node->stop();
 
-  EXPECT_GE(obs.counters.counter("chain.height"), 2u);
-  EXPECT_GE(obs.counters.counter("consensus.blocks_produced"), 2u);
-  EXPECT_GE(obs.counters.counter("chain.store_blocks"), 2u);
+  for (P2pNode* node : {a, b}) {
+    const P2pNode::ChainStats s = node->chain_stats();
+    const std::map<std::string, std::uint64_t> counters = {
+        {"themis_blocks_mined_total", s.blocks_produced},
+        {"themis_blocks_rejected_total", s.blocks_rejected},
+        {"themis_reorgs_total", s.reorgs},
+        {"themis_block_invs_received_total", s.invs_received},
+        {"themis_block_invs_redundant_total", s.invs_redundant},
+        {"themis_blocks_received_total", s.blocks_received},
+        {"themis_blocks_duplicate_total", s.blocks_duplicate},
+        {"themis_sync_requests_served_total", s.sync_requests_served},
+        {"themis_sync_blocks_served_total", s.sync_blocks_served},
+        {"themis_sync_rounds_total", s.sync_rounds},
+        {"themis_snapshots_written_total", s.snapshots_written},
+        {"themis_blocks_pruned_total", s.blocks_pruned},
+        {"themis_finality_votes_sent_total", s.ckpt_votes_sent},
+        {"themis_finality_votes_received_total", s.ckpt_votes_received},
+        {"themis_finality_votes_accepted_total", s.ckpt_votes_accepted},
+        {"themis_finality_votes_rejected_total", s.ckpt_votes_rejected},
+        {"themis_finality_certificates_total", s.ckpt_certs_formed},
+        {"themis_finality_reorgs_refused_total", s.reorgs_refused_finality},
+        {"themis_tx_submitted_total", s.txs_submitted},
+        {"themis_tx_accepted_total", s.txs_accepted},
+        {"themis_tx_rejected_total", s.txs_rejected},
+        {"themis_tx_duplicate_total", s.txs_duplicate},
+        {"themis_tx_relayed_total", s.txs_relayed},
+        {"themis_tx_invs_received_total", s.tx_invs_received},
+        {"themis_tx_invs_redundant_total", s.tx_invs_redundant},
+        {"themis_tx_received_total", s.txs_received},
+        {"themis_tx_confirmed_total", s.txs_confirmed},
+        {"themis_tx_returned_total", s.txs_returned},
+        {"themis_tx_purged_total", s.txs_purged},
+    };
+    const auto fin = node->finality_info();
+    const std::map<std::string, std::uint64_t> gauges = {
+        {"themis_head_height", node->head_height()},
+        {"themis_finality_height", s.finalized_height},
+        {"themis_finality_lag_blocks", fin.lag},
+        {"themis_finality_cert_votes", fin.latest_votes},
+        {"themis_snapshot_height", s.snapshot_height},
+        {"themis_store_replayed_blocks", s.store_replayed},
+        {"themis_restored_from_snapshot", s.restored_from_snapshot ? 1u : 0u},
+    };
+    std::map<std::string, std::uint64_t> counter_samples;
+    for (const auto& c : node->live_registry().counter_samples()) {
+      counter_samples[c.name] = c.value;
+    }
+    std::map<std::string, double> gauge_samples;
+    for (const auto& g : node->live_registry().gauge_samples()) {
+      gauge_samples[g.name] = g.value;
+    }
+    for (const auto& [name, value] : counters) {
+      ASSERT_TRUE(counter_samples.contains(name)) << name;
+      EXPECT_EQ(counter_samples[name], value) << name;
+    }
+    for (const auto& [name, value] : gauges) {
+      ASSERT_TRUE(gauge_samples.contains(name)) << name;
+      EXPECT_EQ(gauge_samples[name], static_cast<double>(value)) << name;
+    }
+    // The run exercised the families it pins.
+    EXPECT_EQ(s.finalized_height, fin.finalized_height);
+    EXPECT_GE(s.finalized_height, 2u);
+    EXPECT_GE(s.txs_confirmed, 3u);
+    EXPECT_GE(s.snapshots_written, 1u);
+    EXPECT_GE(s.sync_rounds, 1u);
+    EXPECT_GT(s.ckpt_votes_sent, 0u);
+  }
+  EXPECT_GT(a->chain_stats().blocks_produced, 0u);
+  EXPECT_GT(b->chain_stats().blocks_received, 0u);
 }
 
 }  // namespace

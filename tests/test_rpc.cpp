@@ -515,10 +515,8 @@ TEST_F(RpcGatewayTest, PrometheusExpositionOverGet) {
   EXPECT_NE(text.find("# TYPE themis_pool_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE themis_tx_e2e_seconds histogram"),
             std::string::npos);
-  if (obs::live::kTelemetryEnabled) {
-    EXPECT_NE(text.find("themis_rpc_requests_total{method=\"get_head\"}"),
-              std::string::npos);
-  }
+  EXPECT_NE(text.find("themis_rpc_requests_total{method=\"get_head\"}"),
+            std::string::npos);
   EXPECT_EQ(text.back(), '\n');
 }
 

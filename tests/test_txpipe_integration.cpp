@@ -218,9 +218,6 @@ TEST_F(TxPipeIntegrationTest, StageStampsAreMonotoneAcrossTwoNodes) {
   // (submitted -> verified -> pooled -> included -> confirmed) that never go
   // backwards, on the node that admitted it AND on the node that only saw it
   // relayed (which may legitimately skip early stages).
-  if (!obs::live::kTelemetryEnabled) {
-    GTEST_SKIP() << "THEMIS_MIN_TELEMETRY build";
-  }
   for (std::size_t i = 0; i < 2; ++i) start_node(i);
   auto nodes = std::vector<p2p::P2pNode*>{nodes_[0].get(), nodes_[1].get()};
   ASSERT_TRUE(wait_until([&] { return nodes[0]->ready_peer_count() == 1; },

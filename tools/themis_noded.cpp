@@ -13,8 +13,9 @@
 // Every node is both server and client: it listens, dials its --peer list
 // with exponential backoff, and re-dials dropped peers, so start order does
 // not matter.  SIGINT/SIGTERM (or --run-for / --stop-at-height) stop the
-// node cleanly; --report and --trace expose the src/obs counters and the
-// JSONL event trace the simulator benches use.
+// node cleanly; --report writes the node's live registry in Prometheus text
+// (the same exposition as GET /metrics.prom) and --trace the JSONL event
+// trace the simulator benches use.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -32,8 +33,8 @@
 #include "core/geost.h"
 #include "finality/aggregation.h"
 #include "obs/live/log.h"
+#include "obs/live/prometheus.h"
 #include "obs/observability.h"
-#include "obs/report.h"
 #include "p2p/node.h"
 #include "rpc/gateway.h"
 #include "rpc/http_server.h"
@@ -73,7 +74,8 @@ constexpr std::string_view kUsage =
     "  --log-level=<l>       debug | info | warn | error | off (default info)\n"
     "  --log-json            structured JSONL log records instead of text\n"
     "  --trace=<path>        write a JSONL event trace on exit\n"
-    "  --report[=<path>]     counters report on exit (stderr or file)\n";
+    "  --report[=<path>]     Prometheus text of every node metric on exit\n"
+    "                        (stderr or file; same as GET /metrics.prom)\n";
 
 std::atomic<bool> g_stop{false};
 
@@ -254,11 +256,10 @@ int main(int argc, char** argv) {
   }
 
   obs::live::log_info("noded", "stopping");
-  // Snapshot counters (including the per-peer link matrix) while the peers
-  // are still connected, then shut down — RPC first, so no handler races a
-  // stopping node.
-  node.fill_observability();
-  gateway.fill_observability(obs);
+  // Render the report while the peers are still connected, then shut down —
+  // RPC first, so no handler races a stopping node.
+  const std::string exposition =
+      report ? obs::live::render_prometheus(node.live_registry()) : "";
   if (rpc_server != nullptr) rpc_server->stop();
   node.stop();
   status_line(node);
@@ -275,11 +276,11 @@ int main(int argc, char** argv) {
   }
   if (report) {
     if (report_path.empty()) {
-      obs::write_report(std::cerr, obs);
+      std::cerr << exposition;
     } else {
       std::ofstream out(report_path);
       if (out) {
-        obs::write_report(out, obs);
+        out << exposition;
         obs::live::log_info("noded", "report written",
                             {{"path", report_path}});
       } else {
