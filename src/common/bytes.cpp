@@ -27,6 +27,8 @@ std::string to_hex(ByteSpan data) {
 
 std::string to_hex(const Hash32& h) { return to_hex(ByteSpan(h.data(), h.size())); }
 
+std::string short_hex(const Hash32& h) { return to_hex(ByteSpan(h.data(), 8)); }
+
 Bytes from_hex(std::string_view hex) {
   expects(hex.size() % 2 == 0, "hex string must have even length");
   Bytes out;

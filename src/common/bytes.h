@@ -22,6 +22,10 @@ std::string to_hex(ByteSpan data);
 /// Lowercase hex of a 32-byte hash (convenience overload).
 std::string to_hex(const Hash32& h);
 
+/// Hex of the first 8 bytes: the short id traces and logs use — compact, and
+/// unique within any plausible run.
+std::string short_hex(const Hash32& h);
+
 /// Parse hex (upper or lower case, no 0x prefix). Throws PreconditionError on
 /// odd length or non-hex characters.
 Bytes from_hex(std::string_view hex);

@@ -1,10 +1,11 @@
 // Incremental fork-choice head maintenance.
 //
 // The seed re-ran the full greedy walk from the finalized anchor on every
-// block arrival (PowNode::update_head), then walked the parent chain again to
-// advance the anchor.  With the tree's aggregates now O(1) that walk is
-// cheap, but still O(finality_depth) per arrival — and almost all of it is
-// re-deriving decisions whose inputs did not change.
+// block arrival, then walked the parent chain again to advance the anchor.
+// With the tree's aggregates now O(1) that walk is cheap, but still
+// O(finality_depth) per arrival — and almost all of it is re-deriving
+// decisions whose inputs did not change.  ChainCore (consensus/chain_core.h)
+// calls on_insert once per inserted batch, for the simulator and the daemon.
 //
 // HeadTracker caches the preferred path (anchor … head, inclusive) and uses
 // the fact that an insert only changes the aggregates of the inserted batch's

@@ -1,10 +1,12 @@
 // A proof-of-X consensus node on the simulated network.
 //
 // This is the §III round structure: sample a block-finding time from the
-// node's current difficulty (node election), broadcast found blocks, validate
-// and insert received blocks, and re-run the fork-choice rule (main chain
-// consensus) whenever the tree changes.  The node is generic over both knobs
-// the paper varies:
+// node's current difficulty (node election), broadcast found blocks, and hand
+// every block — found or received — to the ChainCore, which validates and
+// inserts it and re-runs the fork-choice rule (main chain consensus).  The
+// node itself is only the simulator transport: mining timer, gossip handler,
+// trace events, the suppression hook and counters.  It is generic over both
+// knobs the paper varies:
 //
 //   * DifficultyPolicy — FixedDifficulty gives the PoW-H baseline;
 //     core::AdaptiveDifficulty gives Themis / Themis-Lite (Eq. 3-7).
@@ -19,36 +21,16 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
-#include "consensus/difficulty.h"
-#include "consensus/forkchoice.h"
-#include "consensus/head_tracker.h"
+#include "consensus/chain_core.h"
 #include "consensus/miner.h"
 #include "crypto/schnorr.h"
-#include "ledger/blocktree.h"
-#include "ledger/txpool.h"
-#include "ledger/validation.h"
 #include "net/gossip.h"
 #include "obs/observability.h"
 
 namespace themis::consensus {
-
-/// Maps node ids to their public keys when header signatures are enabled.
-class KeyRegistry {
- public:
-  void add(ledger::NodeId id, crypto::PublicKey key) { keys_[id] = key; }
-  std::optional<crypto::PublicKey> lookup(ledger::NodeId id) const {
-    const auto it = keys_.find(id);
-    if (it == keys_.end()) return std::nullopt;
-    return it->second;
-  }
-
- private:
-  std::unordered_map<ledger::NodeId, crypto::PublicKey> keys_;
-};
 
 struct NodeConfig {
   ledger::NodeId id = 0;
@@ -95,27 +77,26 @@ class PowNode {
   bool producer_suppressed() const { return suppressed_; }
 
   // --- observers ------------------------------------------------------------
-  const ledger::BlockTree& tree() const { return tree_; }
-  const ledger::BlockHash& head() const { return tracker_.head(); }
+  const ledger::BlockTree& tree() const { return core_.tree(); }
+  const ledger::BlockHash& head() const { return core_.tracker().head(); }
   /// Fork-choice start: trails the head by at most finality_depth.
-  const ledger::BlockHash& anchor() const { return tracker_.anchor(); }
-  std::vector<ledger::BlockHash> main_chain() const { return tree_.chain_to(head()); }
-  std::uint64_t head_height() const { return tree_.height(head()); }
+  const ledger::BlockHash& anchor() const { return core_.tracker().anchor(); }
+  std::vector<ledger::BlockHash> main_chain() const {
+    return tree().chain_to(head());
+  }
+  std::uint64_t head_height() const { return core_.tracker().head_height(); }
+  /// The block-arrival core (tree, head, orphans, checkpoint-vote rule).
+  ChainCore& core() { return core_; }
   const NodeConfig& config() const { return config_; }
-  ledger::TxPool& tx_pool() { return pool_; }
 
   std::uint64_t blocks_produced() const { return blocks_produced_; }
   std::uint64_t blocks_suppressed() const { return blocks_suppressed_; }
   std::uint64_t blocks_rejected() const { return blocks_rejected_; }
-  std::uint64_t reorgs() const { return reorgs_; }
 
   /// Invoked after every head change with the new head (metrics hook).
   void set_head_listener(std::function<void(const PowNode&)> fn) {
     head_listener_ = std::move(fn);
   }
-
-  /// The keypair (present iff signatures are enabled).
-  const std::optional<crypto::Keypair>& keypair() const { return keypair_; }
 
   /// The node's buffered mining-draw stream.  Exposed so the experiment
   /// harness can refill many nodes' streams in parallel between events (the
@@ -126,31 +107,20 @@ class PowNode {
   std::size_t announce_size(const ledger::Block& block) const;
   void on_message(const net::Message& msg);
   void on_block_found(std::uint64_t generation);
-  void accept_block(ledger::BlockPtr block);
-  void handle_block(ledger::BlockPtr block);
-  bool validate(const ledger::Block& block) const;
+  /// Run a found or received block through the core, then count, trace and
+  /// restart mining on what it reports.
+  void add_block(ledger::BlockPtr block);
   void restart_mining();
 
   net::Simulation& sim_;
   net::GossipNetwork& network_;
   NodeConfig config_;
-  std::shared_ptr<ForkChoiceRule> rule_;
-  std::shared_ptr<DifficultyPolicy> policy_;
-  std::shared_ptr<const KeyRegistry> registry_;
+  ChainCore core_;
   std::optional<crypto::Keypair> keypair_;
 
   /// Mining randomness: exponential waiting times and nonces, drawn through
   /// a buffered stream so draws can be precomputed off the event loop.
   DrawStream rng_;
-  ledger::BlockTree tree_;
-  ledger::TxPool pool_;
-  /// Maintains head + anchor incrementally (cached preferred path); replaces
-  /// the seed's full choose_head-from-anchor walk on every block arrival.
-  HeadTracker tracker_;
-
-  // Blocks whose parent we have not validated yet, keyed by the parent id.
-  std::unordered_map<ledger::BlockHash, std::vector<ledger::BlockPtr>, Hash32Hasher>
-      pending_;
 
   std::uint64_t mining_generation_ = 0;
   net::EventId mining_event_ = 0;
@@ -160,7 +130,6 @@ class PowNode {
   std::uint64_t blocks_produced_ = 0;
   std::uint64_t blocks_suppressed_ = 0;
   std::uint64_t blocks_rejected_ = 0;
-  std::uint64_t reorgs_ = 0;
   std::function<void(const PowNode&)> head_listener_;
 
   // Observability (null when the simulation has no bundle attached — the
@@ -169,8 +138,7 @@ class PowNode {
   // string-keyed registry lookup.
   obs::Observability* obs_ = nullptr;
   obs::ScopeStat* prof_mine_ = nullptr;         ///< on_block_found
-  obs::ScopeStat* prof_accept_ = nullptr;       ///< accept_block (insert batch)
-  obs::ScopeStat* prof_update_head_ = nullptr;  ///< HeadTracker::on_insert
+  obs::ScopeStat* prof_accept_ = nullptr;  ///< ChainCore::add_block
   obs::Histogram* reorg_depths_ = nullptr;
 };
 

@@ -27,9 +27,10 @@
 // walk stops once it drops below the floor, keeping per-insert work
 // O(tip height − floor).  The floor is purely a performance hint — queries
 // below it stay exact, they just recompute on demand against the
-// exact-cached frontier at the floor instead of reading a cache.  PowNode
-// advances the floor with its finalized anchor (fork-choice walks never
-// start below it); trees that never set a floor keep every entry exact.
+// exact-cached frontier at the floor instead of reading a cache.
+// consensus::ChainCore advances the floor with the fork-choice anchor (walks
+// never start below it); trees that never set a floor keep every entry
+// exact.
 //
 // Storage is split by access pattern: the root-path walk is pure pointer
 // chasing, so the five fields it touches live in a contiguous `Hot` array

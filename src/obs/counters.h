@@ -8,7 +8,8 @@
 //
 // Hot paths that bump a counter per event should cache the reference (or the
 // Histogram pointer) once instead of paying the string lookup every time —
-// see PowNode for the pattern.
+// PowNode resolves its reorg-depth histogram and profiling scopes once in
+// its constructor.
 #pragma once
 
 #include <algorithm>

@@ -30,6 +30,7 @@ Bytes HandshakeMsg::encode() const {
   w.u64(node_id);
   w.u16(listen_port);
   w.u64(head_height);
+  w.u64(checkpoint_interval);
   w.str(agent);
   return w.take();
 }
@@ -43,6 +44,7 @@ HandshakeMsg HandshakeMsg::decode(ByteSpan raw) {
   m.node_id = r.u64();
   m.listen_port = r.u16();
   m.head_height = r.u64();
+  m.checkpoint_interval = r.u64();
   m.agent = r.str();
   r.expect_done();
   return m;
@@ -51,10 +53,14 @@ HandshakeMsg HandshakeMsg::decode(ByteSpan raw) {
 HandshakeReject check_handshake(const HandshakeMsg& remote,
                                 std::uint32_t expected_network,
                                 std::uint32_t expected_version,
-                                const ledger::BlockHash& expected_genesis) {
+                                const ledger::BlockHash& expected_genesis,
+                                std::uint64_t expected_checkpoint_interval) {
   if (remote.network != expected_network) return HandshakeReject::wrong_network;
   if (remote.version != expected_version) return HandshakeReject::wrong_version;
   if (remote.genesis != expected_genesis) return HandshakeReject::wrong_genesis;
+  if (remote.checkpoint_interval != expected_checkpoint_interval) {
+    return HandshakeReject::wrong_checkpoint_interval;
+  }
   return HandshakeReject::ok;
 }
 

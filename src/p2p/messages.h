@@ -19,7 +19,7 @@ namespace themis::p2p {
 
 /// Bumped whenever a frame payload changes incompatibly.  Handshakes carrying
 /// a different version are rejected before any other frame is processed.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Identifies the network (chain) a node is on; a second deployment with
 /// different parameters would pick a different magic so stray cross-network
@@ -33,9 +33,10 @@ inline constexpr std::size_t kMaxInvHashes = 2048;
 inline constexpr std::size_t kMaxSyncBlocks = 512;
 
 /// First frame on every connection, in both directions.  A peer whose
-/// network magic, protocol version or genesis hash differs is rejected
-/// (close, no reply) — it is on a different network or speaks a different
-/// protocol, and nothing after the handshake could be interpreted safely.
+/// network magic, protocol version, genesis hash or checkpoint interval
+/// differs is rejected (close, no reply) — it is on a different network,
+/// speaks a different protocol, or would vote on checkpoint heights ours
+/// rejects, and nothing after the handshake could be interpreted safely.
 struct HandshakeMsg {
   std::uint32_t network = kNetworkMagic;
   std::uint32_t version = kProtocolVersion;
@@ -43,6 +44,9 @@ struct HandshakeMsg {
   std::uint64_t node_id = 0;
   std::uint16_t listen_port = 0;  ///< 0 = not listening (inbound-only peer)
   std::uint64_t head_height = 0;  ///< best height at connect time (sync hint)
+  /// Checkpoint finality interval k (0 = the overlay is off).  Votes are
+  /// only valid at multiples of k, so peers must agree on it.
+  std::uint64_t checkpoint_interval = 0;
   std::string agent;              ///< free-form software identifier
 
   Bytes encode() const;
@@ -57,13 +61,15 @@ enum class HandshakeReject {
   wrong_network,
   wrong_version,
   wrong_genesis,
+  wrong_checkpoint_interval,
 };
 
 /// Validate a remote handshake against our own parameters.
 HandshakeReject check_handshake(const HandshakeMsg& remote,
                                 std::uint32_t expected_network,
                                 std::uint32_t expected_version,
-                                const ledger::BlockHash& expected_genesis);
+                                const ledger::BlockHash& expected_genesis,
+                                std::uint64_t expected_checkpoint_interval);
 
 /// kP2pPing / kP2pPong carry one nonce; the pong echoes the ping's.
 struct PingMsg {

@@ -8,7 +8,6 @@
 #include "consensus/wire.h"
 #include "crypto/merkle.h"
 #include "crypto/schnorr.h"
-#include "ledger/validation.h"
 #include "obs/live/log.h"
 #include "p2p/sync.h"
 #include "state/authstate/snapshot.h"
@@ -41,8 +40,16 @@ std::int64_t steady_ms() {
       .count();
 }
 
-std::string short_hex(const BlockHash& id) {
-  return to_hex(ByteSpan(id.data(), 8));
+/// Consortium keys for header signatures (null when signatures are off).
+std::shared_ptr<const consensus::KeyRegistry> consortium_registry(
+    const P2pNodeConfig& config) {
+  if (!config.use_signatures) return nullptr;
+  auto registry = std::make_shared<consensus::KeyRegistry>();
+  for (std::size_t i = 0; i < config.n_nodes; ++i) {
+    registry->add(static_cast<ledger::NodeId>(i),
+                  crypto::Keypair::from_node_id(i).public_key());
+  }
+  return registry;
 }
 
 /// Genesis funding: every consortium account starts with the same balance.
@@ -86,25 +93,24 @@ P2pNode::P2pNode(P2pNodeConfig config,
                  std::shared_ptr<consensus::ForkChoiceRule> rule,
                  std::shared_ptr<consensus::DifficultyPolicy> policy)
     : config_(std::move(config)),
-      rule_(rule != nullptr ? std::move(rule)
-                            : std::make_shared<consensus::GhostRule>()),
-      policy_(policy != nullptr
-                  ? std::move(policy)
-                  : std::make_shared<consensus::FixedDifficulty>(
-                        config_.difficulty)),
+      registry_(consortium_registry(config_)),
+      core_(rule != nullptr ? std::move(rule)
+                            : std::make_shared<consensus::GhostRule>(),
+            policy != nullptr ? std::move(policy)
+                              : std::make_shared<consensus::FixedDifficulty>(
+                                    config_.difficulty),
+            registry_, config_.finality_depth,
+            consensus::ChainCore::Checks{.signature = config_.use_signatures,
+                                         .pow = true,
+                                         .body = true},
+            [this](const Block& block) { return replay_body_locked(block); }),
       state_(genesis_allocation(config_)),
       pool_(config_.pool_capacity) {
   expects(config_.n_nodes >= 1, "p2p node set must be non-empty");
   expects(config_.id < config_.n_nodes, "node id out of range");
   if (config_.use_signatures) {
     keypair_ = crypto::Keypair::from_node_id(config_.id);
-    registry_ = std::make_shared<consensus::KeyRegistry>();
-    for (std::size_t i = 0; i < config_.n_nodes; ++i) {
-      registry_->add(static_cast<ledger::NodeId>(i),
-                     crypto::Keypair::from_node_id(i).public_key());
-    }
   }
-  tracker_.reset(tree_, *rule_, tree_.genesis_hash(), config_.finality_depth);
 
   // Checkpoint finality overlay: needs the Schnorr keys (votes are
   // signatures), so it engages only alongside use_signatures.
@@ -120,8 +126,10 @@ P2pNode::P2pNode(P2pNodeConfig config,
   pm.listen_port = config_.listen_port;
   pm.listen = config_.listen;
   pm.dial = config_.peers;
-  pm.handshake.genesis = tree_.genesis_hash();
+  pm.handshake.genesis = tree().genesis_hash();
   pm.handshake.node_id = config_.id;
+  pm.handshake.checkpoint_interval =
+      ckpt_.has_value() ? config_.checkpoint_interval : 0;
   pm.handshake.agent = config_.agent;
   pm.dial_timeout_ms = config_.dial_timeout_ms;
   pm.ping_interval_ms = config_.ping_interval_ms;
@@ -185,7 +193,11 @@ void P2pNode::register_live_metrics() {
       "Heavier branches refused because they diverge below the finalized height.");
   live_.blocks_duplicate = &r.counter(
       "themis_blocks_duplicate_total",
-      "Full blocks received that were already in the tree.");
+      "Full blocks received that were already in the tree or orphan buffer.");
+  live_.orphans_dropped = &r.counter(
+      "themis_orphans_dropped_total",
+      "Orphan blocks dropped unvalidated (below the anchor, evicted past the "
+      "buffer cap, or descending from a rejected block).");
   live_.invs_received = &r.counter(
       "themis_block_invs_received_total",
       "Block inventory entries received from peers.");
@@ -235,6 +247,8 @@ void P2pNode::register_live_metrics() {
   // reads them without the consensus lock.
   live_.head_height =
       &r.gauge("themis_head_height", "Height of the fork-choice head.");
+  live_.orphan_blocks = &r.gauge(
+      "themis_orphan_blocks", "Blocks buffered until their parent arrives.");
   live_.finalized_height = &r.gauge(
       "themis_finality_height", "Highest hard-finalized checkpoint height.");
   live_.finality_lag = &r.gauge(
@@ -266,8 +280,8 @@ void P2pNode::register_live_metrics() {
 }
 
 void P2pNode::publish_chain_gauges_locked() {
-  const std::uint64_t head = tracker_.head_height();
-  const std::uint64_t finalized = tracker_.finalized_height();
+  const std::uint64_t head = tracker().head_height();
+  const std::uint64_t finalized = tracker().finalized_height();
   live_.head_height->set(static_cast<std::int64_t>(head));
   live_.finalized_height->set(static_cast<std::int64_t>(finalized));
   live_.finality_lag->set(
@@ -294,18 +308,19 @@ bool P2pNode::start() {
         state::authstate::read_snapshot(config_.datadir / "state.snap");
     store_ =
         std::make_unique<ledger::BlockStore>(config_.datadir / "blocks.dat");
+    ledger::BlockTree rebuilt;
     bool rerooted = false;
     if (snap.has_value()) {
       if (auto root_block = store_->read_by_id(snap->block);
           root_block.has_value()) {
-        tree_ = ledger::BlockTree(
+        rebuilt = ledger::BlockTree(
             std::make_shared<const Block>(*std::move(root_block)));
         state_.reset_base(snap->state);
         last_snapshot_height_ = snap->height;
         live_.snapshot_height->set(static_cast<std::int64_t>(snap->height));
         live_.restored_from_snapshot->set(1);
         rerooted = true;
-        replayed = store_->replay_into(tree_, snap->height + 1);
+        replayed = store_->replay_into(rebuilt, snap->height + 1);
         obs::live::log_info(
             "chain", "restored from snapshot",
             {{"height", snap->height},
@@ -318,14 +333,13 @@ bool P2pNode::start() {
                             {{"height", snap->height}});
       }
     }
-    if (!rerooted) replayed = store_->replay_into(tree_);
+    if (!rerooted) replayed = store_->replay_into(rebuilt);
     live_.store_replayed->set(static_cast<std::int64_t>(replayed));
     if (replayed > 0 || rerooted) {
-      tracker_.reset(tree_, *rule_, tree_.genesis_hash(),
-                     config_.finality_depth);
+      core_.reset(std::move(rebuilt));
       // The confirmed-tx index covers the replayed main chain, so tx_status
       // and duplicate suppression survive a restart.
-      reconciler_.rebuild(tree_, tracker_.head());
+      reconciler_.rebuild(tree(), tracker().head());
       publish_chain_gauges_locked();
     }
   }
@@ -442,7 +456,7 @@ void P2pNode::request_sync(Peer& peer) {
   GetBlocksMsg request;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    request.locator = build_locator(tree_, tracker_.head());
+    request.locator = build_locator(tree(), tracker().head());
   }
   live_.sync_rounds->inc();
   request.max_blocks = static_cast<std::uint32_t>(kMaxSyncBlocks);
@@ -496,7 +510,7 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload) {
     std::lock_guard<std::mutex> lock(mu_);
     live_.invs_received->inc(inv.hashes.size());
     for (const BlockHash& h : inv.hashes) {
-      if (tree_.contains(h)) {
+      if (tree().contains(h)) {
         live_.invs_redundant->inc();
         continue;
       }
@@ -520,8 +534,8 @@ void P2pNode::handle_getdata(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const BlockHash& h : request.hashes) {
-      if (!tree_.contains(h)) continue;  // pruned/unknown: silently skip
-      found.emplace_back(h, tree_.block(h)->encode());
+      if (!tree().contains(h)) continue;  // pruned/unknown: silently skip
+      found.emplace_back(h, tree().block(h)->encode());
     }
   }
   for (const auto& [hash, encoding] : found) {
@@ -545,7 +559,7 @@ void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::size_t max_blocks =
         std::min<std::size_t>(request.max_blocks, kMaxSyncBlocks);
-    const auto range = serve_range(tree_, tracker_.head(), request.locator,
+    const auto range = serve_range(tree(), tracker().head(), request.locator,
                                    max_blocks, kSyncBatchBytes);
     response.blocks.reserve(range.size());
     for (const BlockPtr& block : range) {
@@ -724,7 +738,7 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
       if (const finality::CheckpointCertificate* cert =
               ckpt_->certificate(vote.height)) {
         live_.cert_votes->set(static_cast<std::int64_t>(cert->voters.size()));
-        if (tree_.contains(cert->block)) {
+        if (tree().contains(cert->block)) {
           forced = apply_certificate_locked(*cert);
         } else {
           // Quorum outran the block (gossip reorders freely): park the
@@ -861,7 +875,7 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
         if (reconciler_.block_of(tx.id()).has_value()) {
           admit = TxAdmit::known_confirmed;
         } else {
-          const std::uint64_t next = state_.state_at(tree_, tracker_.head())
+          const std::uint64_t next = state_.state_at(tree(), tracker().head())
                                          .account(tx.sender())
                                          .next_nonce;
           if (tx.nonce() < next) {
@@ -934,35 +948,15 @@ void P2pNode::announce_txs(
 // Consensus core
 // ---------------------------------------------------------------------------
 
-bool P2pNode::validate_locked(const Block& block) {
-  ledger::ValidationContext ctx;
-  ctx.check_signature = config_.use_signatures;
-  ctx.check_pow = true;
-  ctx.check_body = true;
-  if (registry_ != nullptr) {
-    ctx.public_key = [this](ledger::NodeId id) { return registry_->lookup(id); };
-  }
-  ctx.expected_difficulty =
-      [this](ledger::NodeId producer,
-             const BlockHash& parent) -> std::optional<double> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return policy_->difficulty_for(tree_, parent, producer);
-  };
-  ctx.parent_height =
-      [this](const BlockHash& parent) -> std::optional<std::uint64_t> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return tree_.height(parent);
-  };
-  if (ledger::validate_block(block, ctx) != ledger::BlockCheck::ok) {
-    return false;
-  }
-  // Body replay against the parent state: every transaction must apply
-  // cleanly in order.  A spent nonce or drained balance here is a
-  // double-spend attempt smuggled into a block — reject the whole block.
-  // The replay runs on a copy-on-write overlay of the parent snapshot, and
-  // the touched-account delta is cached so materializing this block's state
-  // later costs a few account writes instead of a second full replay.
-  state::ScratchState scratch(state_.state_at(tree_, block.header().prev));
+bool P2pNode::replay_body_locked(const Block& block) {
+  // Every transaction must apply cleanly in order.  A spent nonce or drained
+  // balance here is a double-spend attempt smuggled into a block — reject
+  // the whole block.  The replay runs on a copy-on-write overlay of the
+  // parent snapshot, and the touched-account delta is cached so
+  // materializing this block's state later costs a few account writes
+  // instead of a second full replay.
+  state::ScratchState scratch(
+      state_.state_at(tree(), block.header().prev));
   for (const ledger::Transaction& tx : block.transactions()) {
     if (!applies_cleanly(scratch, tx)) return false;
   }
@@ -973,6 +967,8 @@ bool P2pNode::validate_locked(const Block& block) {
 bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   obs::live::ScopedTimer submit_timer(live_.block_submit);
   const BlockHash id = block->id();
+  const std::uint64_t height = block->header().height;
+  const ledger::NodeId producer = block->header().producer;
   std::vector<BlockHash> announce;
   std::vector<finality::CheckpointVote> votes;
   bool head_changed = false;
@@ -980,93 +976,61 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   std::uint64_t new_height = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const BlockHash old_head = tracker_.head();
+    const BlockHash old_head = tracker().head();
     if (source_session != 0) live_.blocks_received->inc();
     requested_.erase(id);
-    if (tree_.contains(id)) {
+    const consensus::ChainCore::Result& result =
+        core_.add_block(std::move(block));
+    if (result.rejected != 0) live_.blocks_rejected->inc(result.rejected);
+    if (result.orphans_dropped != 0) {
+      live_.orphans_dropped->inc(result.orphans_dropped);
+    }
+    live_.orphan_blocks->set(static_cast<std::int64_t>(core_.orphan_count()));
+    if (result.arrival == consensus::ChainCore::Arrival::duplicate) {
       if (source_session != 0) live_.blocks_duplicate->inc();
       return false;
     }
-
-    if (!tree_.contains(block->header().prev)) {
-      // Parent unknown: buffer until it arrives (validation needs the parent
-      // chain for the difficulty table), and start a locator round so the
-      // gap gets filled even if the parent's announcement never reaches us.
-      auto& waiting = pending_[block->header().prev];
-      for (const BlockPtr& w : waiting) {
-        if (w->id() == id) return false;
+    if (result.arrival == consensus::ChainCore::Arrival::rejected) {
+      obs::live::log_warn("chain", "block rejected",
+                          {{"hash", short_hex(id)},
+                           {"height", height},
+                           {"producer", static_cast<std::uint64_t>(producer)}});
+      return false;
+    }
+    // An orphan inserts nothing and leaves the update empty; the locator
+    // round below fills its gap.
+    for (const BlockPtr& b : result.inserted) {
+      // Inclusion stamps before the reconcile below, so a confirm stamp
+      // from the reconciler (same mu_ hold) is always later.
+      for (const ledger::Transaction& tx : b->transactions()) {
+        stage_tracker_.stamp(tx.id(), TxStage::included);
       }
-      waiting.push_back(std::move(block));
-      // Request outside the lock (below) to keep lock scope tight.
-    } else {
-      if (!validate_locked(*block)) {
-        live_.blocks_rejected->inc();
-        obs::live::log_warn("chain", "block rejected",
-                            {{"hash", short_hex(id)},
-                             {"height", block->header().height},
-                             {"producer", static_cast<std::uint64_t>(
-                                              block->header().producer)}});
-        return false;
+      if (store_ != nullptr) store_->append(*b);
+      announce.push_back(b->id());
+    }
+    head_changed = result.update.head_changed;
+    reorged = result.update.reorg;
+    if (result.update.below_finalized) live_.reorgs_refused_finality->inc();
+    if (reorged) live_.reorgs->inc();
+    if (head_changed) {
+      live_.head_changes->inc();
+      new_height = tracker().head_height();
+      publish_chain_gauges_locked();
+      reconcile_pool_locked(old_head);
+      maybe_snapshot_locked();
+    }
+    // Finality overlay: an inserted block may be the one a parked quorum
+    // certificate was waiting for, and a head advance may cross checkpoint
+    // heights we have not voted on yet.
+    if (ckpt_.has_value() && !announce.empty()) {
+      if (drain_pending_certs_locked()) {
+        // A parked certificate force-switched the head (the certified
+        // branch had lost the local weight race until now).
+        head_changed = true;
+        reorged = true;
+        new_height = tracker().head_height();
       }
-      // Insert the block plus every pending descendant it unblocks — one
-      // batch rooted at `id`, exactly what HeadTracker::on_insert wants.
-      const BlockHash batch_parent = block->header().prev;
-      std::size_t batch_size = 0;
-      std::vector<BlockPtr> ready{std::move(block)};
-      while (!ready.empty()) {
-        BlockPtr cur = std::move(ready.back());
-        ready.pop_back();
-        const BlockHash cur_id = cur->id();
-        // Inclusion stamps before the head update, so a confirm stamp from
-        // the reconciler (same mu_ hold) is always later.
-        for (const ledger::Transaction& tx : cur->transactions()) {
-          stage_tracker_.stamp(tx.id(), TxStage::included);
-        }
-        if (store_ != nullptr) store_->append(*cur);
-        tree_.insert(std::move(cur));
-        announce.push_back(cur_id);
-        ++batch_size;
-        const auto it = pending_.find(cur_id);
-        if (it != pending_.end()) {
-          std::vector<BlockPtr> waiting = std::move(it->second);
-          pending_.erase(it);
-          for (BlockPtr& w : waiting) {
-            if (tree_.contains(w->id())) continue;
-            if (!validate_locked(*w)) {
-              live_.blocks_rejected->inc();
-              continue;
-            }
-            ready.push_back(std::move(w));
-          }
-        }
-      }
-      const auto update = tracker_.on_insert(tree_, *rule_, id, batch_parent,
-                                             /*batch_is_leaf=*/batch_size == 1);
-      head_changed = update.head_changed;
-      reorged = update.reorg;
-      if (update.below_finalized) live_.reorgs_refused_finality->inc();
-      if (update.reorg) live_.reorgs->inc();
-      if (head_changed) {
-        live_.head_changes->inc();
-        tree_.set_aggregate_floor(tracker_.anchor_height());
-        new_height = tracker_.head_height();
-        publish_chain_gauges_locked();
-        reconcile_pool_locked(old_head);
-        maybe_snapshot_locked();
-      }
-      // Finality overlay: an inserted block may be the one a parked quorum
-      // certificate was waiting for, and a head advance may cross checkpoint
-      // heights we have not voted on yet.
-      if (ckpt_.has_value()) {
-        if (drain_pending_certs_locked()) {
-          // A parked certificate force-switched the head (the certified
-          // branch had lost the local weight race until now).
-          head_changed = true;
-          reorged = true;
-          new_height = tracker_.head_height();
-        }
-        if (head_changed) maybe_vote_locked(votes);
-      }
+      if (head_changed) maybe_vote_locked(votes);
     }
   }
 
@@ -1151,17 +1115,10 @@ void P2pNode::broadcast_votes(
 
 void P2pNode::maybe_vote_locked(std::vector<finality::CheckpointVote>& out) {
   if (!ckpt_.has_value() || !keypair_.has_value()) return;
-  const std::uint64_t interval = ckpt_->interval();
-  // Highest checkpoint height covered by the preferred path.
-  const std::uint64_t top = (tracker_.head_height() / interval) * interval;
-  for (std::uint64_t h = (last_voted_height_ / interval + 1) * interval;
-       h <= top; h += interval) {
-    last_voted_height_ = h;  // one vote per height, ever: never equivocate
-    if (h <= ckpt_->finalized_height()) continue;
-    const BlockHash* block = tracker_.path_block_at(h);
-    if (block == nullptr) continue;  // below the anchor: unreachable
+  for (const consensus::ChainCore::Checkpoint& due : core_.checkpoints_due(
+           ckpt_->interval(), ckpt_->finalized_height())) {
     const finality::CheckpointVote vote =
-        ckpt_->make_vote(h, *block, *keypair_, config_.id);
+        ckpt_->make_vote(due.height, due.block, *keypair_, config_.id);
     const finality::VoteOutcome outcome = ckpt_->add_vote(vote);
     if (outcome != finality::VoteOutcome::accepted &&
         outcome != finality::VoteOutcome::quorum) {
@@ -1173,7 +1130,8 @@ void P2pNode::maybe_vote_locked(std::vector<finality::CheckpointVote>& out) {
       live_.ckpt_certs_formed->inc();
       // Our vote is for a block on the preferred path, so applying the
       // certificate can never force-switch the head here.
-      if (const finality::CheckpointCertificate* cert = ckpt_->certificate(h)) {
+      if (const finality::CheckpointCertificate* cert =
+              ckpt_->certificate(due.height)) {
         live_.cert_votes->set(static_cast<std::int64_t>(cert->voters.size()));
         apply_certificate_locked(*cert);
       }
@@ -1186,22 +1144,23 @@ bool P2pNode::apply_certificate_locked(
   // Defensive: a certificate whose claimed height disagrees with the tree
   // would poison the floors below — refuse it (>2/3 honest weight means a
   // formed certificate is consistent; this guards the invariant anyway).
-  if (!tree_.contains(cert.block) || tree_.height(cert.block) != cert.height) {
+  if (!tree().contains(cert.block) ||
+      tree().height(cert.block) != cert.height) {
     obs::live::log_warn("finality", "certificate inconsistent with tree",
                         {{"height", cert.height},
                          {"hash", short_hex(cert.block)}});
     return false;
   }
-  if (cert.height <= tracker_.finalized_height()) return false;  // monotone
+  if (cert.height <= tracker().finalized_height()) return false;  // monotone
 
-  const BlockHash old_head = tracker_.head();
-  const bool head_changed = tracker_.set_finalized(tree_, *rule_, cert.block);
+  const BlockHash old_head = tracker().head();
+  // Every downstream floor keys off the hard anchor from here on: tree
+  // aggregate pruning (in the core), state pins, pool confirmation
+  // immutability, snapshots.
+  const bool head_changed = core_.set_finalized(cert.block);
   publish_chain_gauges_locked();
-  // Every downstream floor keys off the hard anchor from here on: state pins,
-  // pool confirmation immutability, tree aggregate pruning, snapshots.
   state_.set_finalized_floor(cert.height);
   reconciler_.set_finalized(cert.height, cert.block);
-  tree_.set_aggregate_floor(tracker_.anchor_height());
   if (head_changed) {
     // Hard finality outranked the local weight race: reconcile the pool with
     // the certified chain exactly as a reorg would.
@@ -1228,9 +1187,9 @@ bool P2pNode::drain_pending_certs_locked() {
   bool forced = false;
   auto it = pending_certs_.begin();
   while (it != pending_certs_.end()) {
-    if (it->height <= tracker_.finalized_height()) {
+    if (it->height <= tracker().finalized_height()) {
       it = pending_certs_.erase(it);  // superseded by a later checkpoint
-    } else if (tree_.contains(it->block)) {
+    } else if (tree().contains(it->block)) {
       forced = apply_certificate_locked(*it) || forced;
       it = pending_certs_.erase(it);
     } else {
@@ -1266,18 +1225,19 @@ void P2pNode::mine_loop() {
     std::uint64_t version;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const BlockHash parent = tracker_.head();
-      header.height = tree_.height(parent) + 1;
+      const BlockHash parent = tracker().head();
+      header.height = tree().height(parent) + 1;
       header.prev = parent;
       header.producer = config_.id;
-      header.epoch = policy_->epoch_for(tree_, parent);
-      header.difficulty = policy_->difficulty_for(tree_, parent, config_.id);
+      header.epoch = core_.policy().epoch_for(tree(), parent);
+      header.difficulty =
+          core_.policy().difficulty_for(tree(), parent, config_.id);
       // Fill the candidate body from the pool (§III: "pick transactions from
       // the transaction pool"), replaying each candidate against a
       // copy-on-write overlay of the parent state so the block carries no
       // double-spend and a sender's queued nonce chain fits into a single
       // block.
-      state::ScratchState scratch(state_.state_at(tree_, parent));
+      state::ScratchState scratch(state_.state_at(tree(), parent));
       body = pool_.select(config_.max_block_txs,
                           [&scratch](const ledger::Transaction& tx) {
                             return applies_cleanly(scratch, tx);
@@ -1335,17 +1295,17 @@ void P2pNode::mine_loop() {
 
 BlockHash P2pNode::head() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tracker_.head();
+  return tracker().head();
 }
 
 std::uint64_t P2pNode::head_height() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tracker_.head_height();
+  return tracker().head_height();
 }
 
 std::uint64_t P2pNode::tree_blocks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tree_.subtree_size(tree_.genesis_hash());
+  return tree().subtree_size(tree().genesis_hash());
 }
 
 std::uint64_t P2pNode::store_blocks() const {
@@ -1355,7 +1315,7 @@ std::uint64_t P2pNode::store_blocks() const {
 
 bool P2pNode::contains(const BlockHash& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tree_.contains(id);
+  return tree().contains(id);
 }
 
 P2pNode::ChainStats P2pNode::chain_stats() const {
@@ -1370,6 +1330,8 @@ P2pNode::ChainStats P2pNode::chain_stats() const {
   s.invs_redundant = live_.invs_redundant->get();
   s.blocks_received = live_.blocks_received->get();
   s.blocks_duplicate = live_.blocks_duplicate->get();
+  s.orphans_buffered = gauge(live_.orphan_blocks);
+  s.orphans_dropped = live_.orphans_dropped->get();
   s.sync_requests_served = live_.sync_requests_served->get();
   s.sync_blocks_served = live_.sync_blocks_served->get();
   s.sync_rounds = live_.sync_rounds->get();
@@ -1425,13 +1387,13 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
     if (block_hash.has_value()) {
       info.state = TxStatusInfo::State::confirmed;
       info.block = *block_hash;
-      info.block_height = tree_.height(*block_hash);
-      const std::uint64_t head_height = tracker_.head_height();
+      info.block_height = tree().height(*block_hash);
+      const std::uint64_t head_height = tracker().head_height();
       info.confirmations = head_height >= info.block_height
                                ? head_height - info.block_height + 1
                                : 0;
       for (const ledger::Transaction& tx :
-           tree_.block(*block_hash)->transactions()) {
+           tree().block(*block_hash)->transactions()) {
         if (tx.id() == id) {
           info.tx = tx;
           break;
@@ -1451,14 +1413,14 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
 P2pNode::AccountInfo P2pNode::account_info(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const state::Account& account =
-      state_.state_at(tree_, tracker_.head()).account(id);
+      state_.state_at(tree(), tracker().head()).account(id);
   return AccountInfo{account.balance, account.next_nonce};
 }
 
 const Hash32& P2pNode::ensure_root_locked() const {
-  const ledger::BlockHash head = tracker_.head();
+  const ledger::BlockHash head = tracker().head();
   if (root_valid_ && root_head_ == head) return root_cache_.root();
-  const state::LedgerState& state = state_.state_at(tree_, head);
+  const state::LedgerState& state = state_.state_at(tree(), head);
   // Incremental path: if the previous root head is an ancestor within a
   // short parent walk and every block in between recorded a validation
   // delta, only the pages those deltas touched need re-hashing.  A reorg
@@ -1477,7 +1439,7 @@ const Hash32& P2pNode::ensure_root_locked() const {
       const state::StateDelta* delta = state_.delta(cursor);
       if (delta == nullptr) break;
       for (const auto& [id, account] : delta->accounts) touched.push_back(id);
-      const auto parent = tree_.parent(cursor);
+      const auto parent = tree().parent(cursor);
       if (!parent.has_value()) break;
       cursor = *parent;
     }
@@ -1499,16 +1461,16 @@ Hash32 P2pNode::head_state_root() const {
 
 UInt128 P2pNode::total_supply() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return state_.state_at(tree_, tracker_.head()).total_supply();
+  return state_.state_at(tree(), tracker().head()).total_supply();
 }
 
 P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   BalanceProof result;
-  result.head = tracker_.head();
-  result.height = tracker_.head_height();
+  result.head = tracker().head();
+  result.height = tracker().head_height();
   result.state_root = ensure_root_locked();
-  const state::LedgerState& state = state_.state_at(tree_, result.head);
+  const state::LedgerState& state = state_.state_at(tree(), result.head);
   result.account = state.account(id);
   // The root cache already holds every page hash for the head, so proof
   // construction only encodes the one target page instead of re-hashing the
@@ -1527,8 +1489,8 @@ P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
 
 void P2pNode::reconcile_pool_locked(const BlockHash& old_head) {
   const auto rec = reconciler_.on_head_change(
-      tree_, old_head, tracker_.head(), pool_,
-      state_.state_at(tree_, tracker_.head()));
+      tree(), old_head, tracker().head(), pool_,
+      state_.state_at(tree(), tracker().head()));
   live_.txs_confirmed->inc(rec.confirmed);
   live_.txs_returned->inc(rec.returned);
   live_.txs_purged->inc(rec.purged);
@@ -1536,15 +1498,15 @@ void P2pNode::reconcile_pool_locked(const BlockHash& old_head) {
 
 void P2pNode::maybe_snapshot_locked() {
   if (config_.snapshot_interval == 0 || config_.datadir.empty()) return;
-  const std::uint64_t anchor_height = tracker_.anchor_height();
+  const std::uint64_t anchor_height = tracker().anchor_height();
   if (anchor_height < last_snapshot_height_ + config_.snapshot_interval) {
     return;
   }
-  const ledger::BlockHash anchor = tracker_.anchor();
+  const ledger::BlockHash anchor = tracker().anchor();
   state::authstate::Snapshot snap;
   snap.height = anchor_height;
   snap.block = anchor;
-  snap.state = state_.state_at(tree_, anchor);
+  snap.state = state_.state_at(tree(), anchor);
   if (!state::authstate::write_snapshot(config_.datadir / "state.snap",
                                         snap)) {
     obs::live::log_warn("chain", "snapshot write failed",
@@ -1553,7 +1515,7 @@ void P2pNode::maybe_snapshot_locked() {
   }
   // Pin the anchor state so the next snapshot replays only the interval
   // since this one, not the whole chain from the tree root.
-  state_.pin_anchor(tree_, anchor);
+  state_.pin_anchor(tree(), anchor);
   last_snapshot_height_ = anchor_height;
   live_.snapshot_height->set(static_cast<std::int64_t>(anchor_height));
   live_.snapshots_written->inc();
@@ -1575,12 +1537,12 @@ void P2pNode::maybe_snapshot_locked() {
 std::optional<P2pNode::BlockInfo> P2pNode::block_info(
     const ledger::BlockHash& hash) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!tree_.contains(hash)) return std::nullopt;
+  if (!tree().contains(hash)) return std::nullopt;
   BlockInfo info;
-  info.block = tree_.block(hash);
-  info.on_main_chain = tree_.is_ancestor(hash, tracker_.head());
+  info.block = tree().block(hash);
+  info.on_main_chain = tree().is_ancestor(hash, tracker().head());
   if (info.on_main_chain) {
-    info.confirmations = tracker_.head_height() - tree_.height(hash) + 1;
+    info.confirmations = tracker().head_height() - tree().height(hash) + 1;
   }
   return info;
 }
@@ -1588,16 +1550,16 @@ std::optional<P2pNode::BlockInfo> P2pNode::block_info(
 std::optional<P2pNode::BlockInfo> P2pNode::block_info_at(
     std::uint64_t height) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t head_height = tracker_.head_height();
+  const std::uint64_t head_height = tracker().head_height();
   if (height > head_height) return std::nullopt;
-  BlockHash cursor = tracker_.head();
+  BlockHash cursor = tracker().head();
   for (std::uint64_t h = head_height; h > height; --h) {
-    const auto parent = tree_.parent(cursor);
+    const auto parent = tree().parent(cursor);
     if (!parent.has_value()) return std::nullopt;
     cursor = *parent;
   }
   BlockInfo info;
-  info.block = tree_.block(cursor);
+  info.block = tree().block(cursor);
   info.on_main_chain = true;
   info.confirmations = head_height - height + 1;
   return info;
@@ -1607,10 +1569,10 @@ P2pNode::FinalityInfo P2pNode::finality_info() const {
   std::lock_guard<std::mutex> lock(mu_);
   FinalityInfo info;
   info.enabled = ckpt_.has_value();
-  info.head_height = tracker_.head_height();
+  info.head_height = tracker().head_height();
   if (!ckpt_.has_value()) return info;
   info.interval = ckpt_->interval();
-  info.finalized_height = tracker_.finalized_height();
+  info.finalized_height = tracker().finalized_height();
   info.lag = info.head_height > info.finalized_height
                  ? info.head_height - info.finalized_height
                  : 0;
@@ -1636,7 +1598,7 @@ std::uint64_t P2pNode::next_nonce_hint(ledger::NodeId sender) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     state_next =
-        state_.state_at(tree_, tracker_.head()).account(sender).next_nonce;
+        state_.state_at(tree(), tracker().head()).account(sender).next_nonce;
   }
   return pool_.next_nonce_hint(sender, state_next);
 }

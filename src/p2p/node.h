@@ -1,12 +1,13 @@
 // A consensus node on a real TCP network.
 //
-// P2pNode runs the same consensus stack as the simulated PowNode — BlockTree
-// + HeadTracker + ForkChoiceRule + DifficultyPolicy + the §III validation
-// pipeline — but over the socket transport (PeerManager) instead of the
-// discrete-event GossipNetwork, with real proof-of-work (RealMiner grinding
-// double-SHA-256 nonces on a dedicated thread) and a durable BlockStore
-// under the datadir so a restarted node replays its chain and re-syncs to
-// the network head.
+// P2pNode runs the same consensus core as the simulated PowNode — one
+// consensus::ChainCore (BlockTree + HeadTracker + orphan buffer + the §III
+// validation pipeline + the checkpoint-vote rule) — but over the socket
+// transport (PeerManager) instead of the discrete-event GossipNetwork, with
+// real proof-of-work (RealMiner grinding double-SHA-256 nonces on a dedicated
+// thread), a body check that replays transactions against the parent state,
+// and a durable BlockStore under the datadir so a restarted node replays its
+// chain and re-syncs to the network head.
 //
 // Block dissemination is announcement-based: a new block is advertised to
 // every ready peer as a kP2pInv hash; peers that lack it answer kP2pGetData
@@ -15,7 +16,7 @@
 // pushes — the redundant-announce ratio is the same observable, measured on
 // a real wire.  Catch-up uses the locator protocol in p2p/sync.h.
 //
-// Threading: the consensus state (tree, tracker, store, orphan buffer) lives
+// Threading: the consensus state (chain core, store, ledger states) lives
 // behind one mutex, taken by reader threads delivering frames, by the miner
 // thread submitting solved blocks, and by observer queries.  The miner is
 // cancelled edge-triggered: every head change bumps an atomic chain version,
@@ -62,13 +63,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "consensus/difficulty.h"
-#include "consensus/forkchoice.h"
-#include "consensus/head_tracker.h"
-#include "consensus/node.h"  // KeyRegistry
+#include "consensus/chain_core.h"
 #include "finality/tracker.h"
 #include "ledger/block_store.h"
-#include "ledger/blocktree.h"
 #include "ledger/txpool.h"
 #include "obs/live/registry.h"
 #include "obs/live/stage_tracker.h"
@@ -240,7 +237,12 @@ class P2pNode {
     std::uint64_t invs_received = 0;
     std::uint64_t invs_redundant = 0;    ///< announced a block we already had
     std::uint64_t blocks_received = 0;   ///< full blocks over the wire
-    std::uint64_t blocks_duplicate = 0;  ///< received but already in the tree
+    /// Received but already in the tree or the orphan buffer.
+    std::uint64_t blocks_duplicate = 0;
+    std::uint64_t orphans_buffered = 0;  ///< waiting for their parent now
+    /// Orphans dropped unvalidated: at or below the anchor, evicted past
+    /// ChainCore::kMaxOrphans, or descendants of a rejected block.
+    std::uint64_t orphans_dropped = 0;
     std::uint64_t sync_requests_served = 0;
     std::uint64_t sync_blocks_served = 0;
     std::uint64_t sync_rounds = 0;       ///< getblocks requests we issued
@@ -412,9 +414,10 @@ class P2pNode {
   bool submit_block(ledger::BlockPtr block, std::uint64_t source_session);
   /// Ask `peer` for the range above our head (locator round).
   void request_sync(Peer& peer);
-  /// §III validation plus a body replay against the parent state (rejects
-  /// double-spends).  Non-const: state_at() caches snapshots.
-  bool validate_locked(const ledger::Block& block);
+  /// The chain core's body check: replay the transactions against the
+  /// parent state (rejects double-spends) and cache the block's state delta.
+  /// Non-const: state_at() caches snapshots.
+  bool replay_body_locked(const ledger::Block& block);
   /// Bring root_cache_ up to the current head: incremental page re-hash when
   /// the head advanced over recorded deltas, full rebuild otherwise.
   const Hash32& ensure_root_locked() const;
@@ -444,6 +447,9 @@ class P2pNode {
   void mine_loop();
   void trace(std::string_view event, std::initializer_list<obs::Field> fields);
   std::int64_t wall_nanos() const;
+  /// The chain core's tree and head tracker (callers hold mu_).
+  const ledger::BlockTree& tree() const { return core_.tree(); }
+  const consensus::HeadTracker& tracker() const { return core_.tracker(); }
   /// Register every node-level live metric (called once from the ctor; the
   /// hot paths bump the cached pointers in live_, never look up by name).
   void register_live_metrics();
@@ -452,23 +458,17 @@ class P2pNode {
   void publish_chain_gauges_locked();
 
   P2pNodeConfig config_;
-  std::shared_ptr<consensus::ForkChoiceRule> rule_;
-  std::shared_ptr<consensus::DifficultyPolicy> policy_;
-  std::shared_ptr<consensus::KeyRegistry> registry_;
+  std::shared_ptr<const consensus::KeyRegistry> registry_;
   std::optional<crypto::Keypair> keypair_;
 
   std::unique_ptr<PeerManager> peers_;
 
   // --- consensus state, all behind mu_ ---------------------------------------
   mutable std::mutex mu_;
-  ledger::BlockTree tree_;
-  consensus::HeadTracker tracker_;
+  /// Tree, head tracker, orphan buffer, validation and the checkpoint-vote
+  /// rule — the block-arrival core shared with the simulator's PowNode.
+  consensus::ChainCore core_;
   std::unique_ptr<ledger::BlockStore> store_;
-  /// Blocks whose parent we have not validated yet, keyed by the parent id
-  /// (same buffering discipline as PowNode).
-  std::unordered_map<ledger::BlockHash, std::vector<ledger::BlockPtr>,
-                     Hash32Hasher>
-      pending_;
   /// In-flight getdata requests (dedup across peers), steady-clock ms.
   std::unordered_map<ledger::BlockHash, std::int64_t, Hash32Hasher> requested_;
   /// In-flight tx getdata requests, same discipline as requested_.
@@ -488,9 +488,6 @@ class P2pNode {
   /// Checkpoint finality overlay (engaged when checkpoint_interval > 0 and
   /// signatures are on; guarded by mu_ like the rest of consensus).
   std::optional<finality::CheckpointTracker> ckpt_;
-  /// Highest checkpoint height this node has signed a vote for (monotone —
-  /// the self-equivocation guard).
-  std::uint64_t last_voted_height_ = 0;
   /// Certificates that reached quorum before their block arrived (votes for
   /// unknown blocks are counted; the finalization itself waits for the
   /// block).  Drained after every tree insert.
@@ -543,6 +540,7 @@ class P2pNode {
     obs::live::Counter* invs_redundant = nullptr;
     obs::live::Counter* blocks_received = nullptr;
     obs::live::Counter* blocks_duplicate = nullptr;
+    obs::live::Counter* orphans_dropped = nullptr;
     obs::live::Counter* sync_requests_served = nullptr;
     obs::live::Counter* sync_blocks_served = nullptr;
     obs::live::Counter* sync_rounds = nullptr;
@@ -566,6 +564,7 @@ class P2pNode {
     obs::live::Counter* txs_returned = nullptr;
     obs::live::Counter* txs_purged = nullptr;
     obs::live::Gauge* head_height = nullptr;
+    obs::live::Gauge* orphan_blocks = nullptr;
     obs::live::Gauge* finalized_height = nullptr;
     obs::live::Gauge* finality_lag = nullptr;
     obs::live::Gauge* cert_votes = nullptr;

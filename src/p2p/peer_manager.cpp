@@ -60,6 +60,11 @@ void PeerManager::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
 
+  // The maintenance thread adopts dialed peers and reaps dead ones, so it
+  // is joined before the snapshot: afterwards no thread adds or erases
+  // peers, and the snapshot covers every reader still running.
+  if (maintenance_thread_.joinable()) maintenance_thread_.join();
+
   // Unblock every reader, then join.  Readers may still be dispatching their
   // final frames into the handlers while we wait — handlers must not assume
   // stop() implies quiescence until it returns.
@@ -69,7 +74,6 @@ void PeerManager::stop() {
     for (auto& [id, peer] : peers_) snapshot.push_back(peer);
   }
   for (auto& peer : snapshot) peer->mark_dead();
-  if (maintenance_thread_.joinable()) maintenance_thread_.join();
   for (auto& peer : snapshot) {
     if (peer->reader.joinable()) peer->reader.join();
   }
@@ -111,16 +115,13 @@ void PeerManager::adopt_socket(TcpSocket socket, bool outbound, int dial_index) 
   // if the remote end hangs without closing.
   socket.set_timeouts(config_.send_timeout_ms, /*recv_ms=*/500);
 
-  std::shared_ptr<Peer> peer;
+  std::uint64_t id;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
-    const std::uint64_t id = next_session_id_++;
-    peer = std::make_shared<Peer>(id, std::move(socket), outbound, dial_index);
-    peers_.emplace(id, peer);
-    if (dial_index >= 0) {
-      dial_slots_[static_cast<std::size_t>(dial_index)].session_id = id;
-    }
+    id = next_session_id_++;
   }
+  auto peer =
+      std::make_shared<Peer>(id, std::move(socket), outbound, dial_index);
   peer->last_recv_ms.store(steady_now_ms(), std::memory_order_relaxed);
 
   // Both sides speak first: the handshake goes out immediately and the
@@ -128,7 +129,16 @@ void PeerManager::adopt_socket(TcpSocket socket, bool outbound, int dial_index) 
   if (!peer->send_frame(consensus::kP2pHandshake, our_handshake())) {
     peer->mark_dead();
   }
+  // The reader is assigned before the peer is published: the reaper (and
+  // stop()) read and join `peer->reader` as soon as they can see the peer.
   peer->reader = std::thread([this, peer] { reader_loop(peer); });
+  {
+    std::lock_guard<std::mutex> lock(peers_mu_);
+    peers_.emplace(id, peer);
+    if (dial_index >= 0) {
+      dial_slots_[static_cast<std::size_t>(dial_index)].session_id = id;
+    }
+  }
 }
 
 void PeerManager::reader_loop(const std::shared_ptr<Peer>& peer) {
@@ -156,10 +166,8 @@ void PeerManager::reader_loop(const std::shared_ptr<Peer>& peer) {
       break;
     }
   }
-  const bool was_ready = peer->ready();
   peer->mark_dead();
   disconnects_.fetch_add(1, std::memory_order_relaxed);
-  if (was_ready && on_disconnect_ && !stopping_.load()) on_disconnect_(*peer);
   // The maintenance thread reaps the peer (joins this thread, frees the dial
   // slot); at stop() the manager joins directly.
 }
@@ -180,7 +188,7 @@ bool PeerManager::handle_frame(Peer& peer, const Frame& frame) {
     }
     const HandshakeReject verdict = check_handshake(
         remote, config_.handshake.network, config_.handshake.version,
-        config_.handshake.genesis);
+        config_.handshake.genesis, config_.handshake.checkpoint_interval);
     if (verdict != HandshakeReject::ok) {
       handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
@@ -327,27 +335,6 @@ void PeerManager::dial_due_slots(std::int64_t now_ms) {
     slot.attempts = 0;
     slot.ever_connected = true;
     adopt_socket(std::move(socket), /*outbound=*/true, static_cast<int>(i));
-  }
-}
-
-bool PeerManager::send(std::uint64_t session_id, std::uint32_t type,
-                       ByteSpan payload) {
-  std::shared_ptr<Peer> peer;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    const auto it = peers_.find(session_id);
-    if (it == peers_.end()) return false;
-    peer = it->second;
-  }
-  if (peer->dead() || !peer->ready()) return false;
-  return peer->send_frame(type, payload);
-}
-
-void PeerManager::broadcast(std::uint32_t type, ByteSpan payload,
-                            std::uint64_t exclude_session) {
-  for (const auto& peer : ready_peers()) {
-    if (peer->session_id() == exclude_session) continue;
-    if (!peer->send_frame(type, payload)) peer->mark_dead();
   }
 }
 

@@ -268,8 +268,7 @@ void PoxExperiment::emit_trace_summary() {
                      {obs::Field::u64("height", block.header().height),
                       obs::Field::u64("producer", block.header().producer),
                       obs::Field::u64("epoch", block.header().epoch),
-                      obs::Field::str("hash",
-                                      to_hex(ByteSpan(chain[i].data(), 8)))});
+                      obs::Field::str("hash", short_hex(chain[i]))});
     }
     if (i > 1) {
       intervals.record(static_cast<double>(ts - prev_ts) / 1e9);

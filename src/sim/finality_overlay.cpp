@@ -58,10 +58,6 @@ void FinalityOverlay::attach() {
   }
 }
 
-void FinalityOverlay::set_muted(net::PeerId node, bool muted) {
-  states_[node].muted = muted;
-}
-
 void FinalityOverlay::on_head_change(net::PeerId id) {
   consensus::PowNode& node = *nodes_[id];
   NodeState& st = states_[id];
@@ -75,28 +71,17 @@ void FinalityOverlay::on_head_change(net::PeerId id) {
     if (!st.reached_at.emplace(h, sim_.now()).second) break;
   }
 
-  if (st.muted) return;
-  for (std::uint64_t h = (st.last_voted / k + 1) * k; h <= top; h += k) {
-    st.last_voted = h;  // at most one vote per height, ever
-    if (h <= st.tracker->finalized_height()) continue;
-    // The block at height h on this node's main chain.
-    ledger::BlockHash block = node.head();
-    for (std::uint64_t cur = head_h; cur > h; --cur) {
-      const auto parent = node.tree().parent(block);
-      if (!parent.has_value()) break;  // re-rooted tree: height unreachable
-      block = *parent;
-    }
-    if (node.tree().height(block) != h) continue;
-
+  for (const consensus::ChainCore::Checkpoint& due :
+       node.core().checkpoints_due(k, st.tracker->finalized_height())) {
     finality::CheckpointVote vote;
-    vote.height = h;
-    vote.block = block;
-    vote.epoch = h / k;
+    vote.height = due.height;
+    vote.block = due.block;
+    vote.epoch = due.height / k;
     vote.voter = static_cast<ledger::NodeId>(id);
     // Unsigned by design: verify_signatures is off in the model.
     const finality::VoteOutcome outcome = st.tracker->add_vote(vote);
     ++st.votes_cast;
-    record_outcome(id, outcome, h);
+    record_outcome(id, outcome, due.height);
     network_.broadcast(id, consensus::kCkptVote, config_.vote_bytes, vote);
   }
 }

@@ -3,10 +3,12 @@
 // Mirrors the p2p node's finality wiring (src/finality + P2pNode) inside the
 // GossipNetwork model so finality latency can be measured at consortium
 // sizes (n = 100..400+) no socket testbed reaches: each PowNode gets a
-// CheckpointTracker; whenever a node's head crosses a checkpoint height it
-// casts a vote (kCkptVote flood, same push-gossip as block announcements),
-// and every node independently accumulates votes until the >2/3 quorum
-// forms its certificate.
+// CheckpointTracker; on every head change the node asks its ChainCore which
+// checkpoint heights are due (ChainCore::checkpoints_due, the rule P2pNode
+// votes by too) and casts a vote for each (kCkptVote flood, same push-gossip
+// as block announcements), and every node independently accumulates votes
+// until the >2/3 quorum forms its certificate.  The two wirings differ only
+// in signing.
 //
 // Votes travel unsigned (TrackerConfig::verify_signatures = false): the
 // overlay measures propagation and quorum dynamics, not Schnorr throughput —
@@ -46,19 +48,6 @@ class FinalityOverlay {
   /// Interpose on gossip handlers and head listeners.  Call after start().
   void attach();
 
-  /// A muted node never casts votes (models a crashed/withholding minority;
-  /// it still relays and accumulates other nodes' votes).
-  void set_muted(net::PeerId node, bool muted);
-
-  // --- observers -------------------------------------------------------------
-
-  std::uint64_t finalized_height(net::PeerId node) const {
-    return states_[node].tracker->finalized_height();
-  }
-  const finality::CheckpointTracker& tracker(net::PeerId node) const {
-    return *states_[node].tracker;
-  }
-
   struct Metrics {
     std::uint64_t votes_cast = 0;       ///< votes originated across all nodes
     std::uint64_t certificates = 0;     ///< certificates formed across all nodes
@@ -79,8 +68,6 @@ class FinalityOverlay {
  private:
   struct NodeState {
     std::unique_ptr<finality::CheckpointTracker> tracker;
-    std::uint64_t last_voted = 0;
-    bool muted = false;
     /// Sim time this node's head first reached each checkpoint height.
     std::unordered_map<std::uint64_t, SimTime> reached_at;
     std::vector<double> latencies_s;   ///< per-certificate, this node's view

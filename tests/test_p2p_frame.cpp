@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "consensus/miner.h"
 #include "consensus/wire.h"
@@ -160,6 +164,7 @@ TEST(Messages, HandshakeRoundTrips) {
   m.node_id = 7;
   m.listen_port = 9101;
   m.head_height = 42;
+  m.checkpoint_interval = 16;
   m.agent = "themis-noded/test";
   EXPECT_EQ(HandshakeMsg::decode(m.encode()), m);
 }
@@ -177,21 +182,30 @@ TEST(Messages, HandshakeRejectsTruncationAndTrailingGarbage) {
 TEST(Messages, CheckHandshakeDistinguishesMismatches) {
   HandshakeMsg m;
   m.genesis.fill(3);
+  m.checkpoint_interval = 16;
   ledger::BlockHash genesis{};
   genesis.fill(3);
-  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis),
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 16),
             HandshakeReject::ok);
   m.network ^= 1;
-  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis),
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 16),
             HandshakeReject::wrong_network);
   m.network = kNetworkMagic;
   m.version += 1;
-  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis),
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 16),
             HandshakeReject::wrong_version);
   m.version = kProtocolVersion;
   m.genesis.fill(4);
-  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis),
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 16),
             HandshakeReject::wrong_genesis);
+  m.genesis.fill(3);
+  // Votes are only valid at multiples of the interval: peers on different
+  // intervals (or one with the overlay off, interval 0) would reject every
+  // vote the other casts.
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 2),
+            HandshakeReject::wrong_checkpoint_interval);
+  EXPECT_EQ(check_handshake(m, kNetworkMagic, kProtocolVersion, genesis, 0),
+            HandshakeReject::wrong_checkpoint_interval);
 }
 
 TEST(Messages, InvRoundTripsAndBoundsCount) {
@@ -327,6 +341,17 @@ TEST_F(LivePeerManagerTest, WrongVersionHandshakeIsRejected) {
   EXPECT_GE(manager_->stats().handshakes_rejected, 1u);
 }
 
+TEST_F(LivePeerManagerTest, WrongCheckpointIntervalHandshakeIsRejected) {
+  TcpSocket s = dial();
+  HandshakeMsg hello;
+  hello.genesis.fill(0x11);
+  hello.checkpoint_interval = 16;  // manager runs without the overlay (0)
+  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pHandshake, hello.encode())));
+  EXPECT_TRUE(closed_by_remote(s));
+  EXPECT_GE(manager_->stats().handshakes_rejected, 1u);
+  EXPECT_EQ(manager_->ready_peer_count(), 0u);
+}
+
 TEST_F(LivePeerManagerTest, NonHandshakeFirstFrameIsAProtocolError) {
   TcpSocket s = dial();
   ASSERT_TRUE(
@@ -372,6 +397,69 @@ TEST_F(LivePeerManagerTest, ValidHandshakeThenPingGetsPong) {
   EXPECT_EQ(manager_->ready_peer_count(), 1u);
 }
 
+// --- shutdown under connection churn ------------------------------------------
+//
+// stop() must join every reader even while the maintenance thread adopts
+// dialed sockets and reaps dead ones and inbound connections keep arriving.
+// The target refuses every handshake (other genesis), so each of the
+// churning manager's outbound slots dies and is redialed every maintenance
+// tick; four dialer threads open connections to its listener and drop them
+// at once, so a peer can die before its reader is even started.  Each cycle
+// starts a fresh manager and stops it within a few ticks, while dials are
+// in flight.
+
+TEST(PeerManagerStress, StartStopWithDialsInFlight) {
+  PeerManagerConfig target_config;
+  target_config.listen_port = 0;
+  target_config.handshake.genesis.fill(0x22);
+  PeerManager target(std::move(target_config));
+  target.set_frame_handler([](Peer&, std::uint32_t, ByteSpan) {});
+  ASSERT_TRUE(target.start());
+
+  std::atomic<std::uint16_t> port{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> dialers;
+  for (int t = 0; t < 4; ++t) {
+    dialers.emplace_back([&] {
+      while (!done.load()) {
+        const std::uint16_t p = port.load();
+        if (p == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          continue;
+        }
+        TcpSocket s = TcpSocket::connect("127.0.0.1", p, 200);
+      }
+    });
+  }
+  const std::string target_address =
+      "127.0.0.1:" + std::to_string(target.listen_port());
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    PeerManagerConfig config;
+    config.listen_port = 0;
+    config.handshake.genesis.fill(0x11);
+    config.dial.assign(4, target_address);
+    config.tick_ms = 1;
+    config.backoff_initial_ms = 1;
+    config.backoff_max_ms = 2;
+    config.dial_timeout_ms = 200;
+    PeerManager manager(std::move(config));
+    manager.set_frame_handler([](Peer&, std::uint32_t, ByteSpan) {});
+    if (!manager.start()) {
+      ADD_FAILURE() << "listen failed in cycle " << cycle;
+      break;
+    }
+    port.store(manager.listen_port());
+    std::this_thread::sleep_for(std::chrono::microseconds(500 * (cycle % 5)));
+    port.store(0);
+    manager.stop();
+    EXPECT_EQ(manager.ready_peer_count(), 0u);
+  }
+  done.store(true);
+  for (std::thread& t : dialers) t.join();
+  target.stop();
+  EXPECT_GT(target.stats().handshakes_rejected, 0u);
+}
+
 // --- transaction-message robustness against a live node ----------------------
 //
 // Same hostile-client drill as above, but against a full P2pNode so the tx
@@ -399,6 +487,7 @@ class LiveNodeTxWireTest : public ::testing::Test {
     HandshakeMsg hello;
     hello.genesis = ledger::Block::genesis().id();
     hello.node_id = 3;
+    hello.checkpoint_interval = P2pNodeConfig{}.checkpoint_interval;
     EXPECT_TRUE(
         s.send_all(encode_frame(consensus::kP2pHandshake, hello.encode())));
     return s;
@@ -423,6 +512,24 @@ class LiveNodeTxWireTest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return done();
+  }
+
+  /// A block by producer 3 at the node's default difficulty, with real PoW,
+  /// signed by `signer` (a key other than 3's makes it invalid).
+  static ledger::Block mined_block(const ledger::BlockHash& prev,
+                                   std::uint64_t height,
+                                   ledger::NodeId signer = 3) {
+    ledger::BlockHeader header;
+    header.height = height;
+    header.prev = prev;
+    header.producer = 3;
+    header.difficulty = P2pNodeConfig{}.difficulty;
+    header.merkle_root = crypto::merkle_root({});
+    const auto solved = consensus::RealMiner::mine(header, 0, 1u << 24);
+    EXPECT_TRUE(solved.has_value());
+    return ledger::Block(
+        *solved, crypto::Keypair::from_node_id(signer).sign(solved->hash()),
+        {});
   }
 
   static ledger::SignedTransaction signed_transfer(ledger::NodeId from,
@@ -552,24 +659,9 @@ TEST_F(LiveNodeTxWireTest, InvalidOrphanIsCountedOnceInViewAndExposition) {
   // An invalid block delivered before its parent waits in the orphan buffer
   // and is validated only when the parent arrives.  That rejection must
   // reach the registry, not just chain_stats().
-  const auto make_block = [](const ledger::BlockHash& prev,
-                             std::uint64_t height, ledger::NodeId signer) {
-    ledger::BlockHeader header;
-    header.height = height;
-    header.prev = prev;
-    header.producer = 3;
-    header.difficulty = P2pNodeConfig{}.difficulty;
-    header.merkle_root = crypto::merkle_root({});
-    const auto solved = consensus::RealMiner::mine(header, 0, 1u << 24);
-    EXPECT_TRUE(solved.has_value());
-    return ledger::Block(
-        *solved, crypto::Keypair::from_node_id(signer).sign(solved->hash()),
-        {});
-  };
-  const ledger::Block parent =
-      make_block(ledger::Block::genesis().id(), 1, /*signer=*/3);
+  const ledger::Block parent = mined_block(ledger::Block::genesis().id(), 1);
   // Signed by a key other than the producer's: fails validation.
-  const ledger::Block forged = make_block(parent.id(), 2, /*signer=*/2);
+  const ledger::Block forged = mined_block(parent.id(), 2, /*signer=*/2);
 
   TcpSocket s = dial_and_handshake();
   ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pBlock, forged.encode())));
@@ -581,6 +673,72 @@ TEST_F(LiveNodeTxWireTest, InvalidOrphanIsCountedOnceInViewAndExposition) {
       obs::live::render_prometheus(node_->live_registry());
   EXPECT_NE(text.find("\nthemis_blocks_rejected_total 1\n"), std::string::npos)
       << text;
+}
+
+TEST_F(LiveNodeTxWireTest, OrphanFloodStaysBoundedAndValidChainIsAdopted) {
+  // Blocks whose parent never arrives are never validated (validation waits
+  // for the parent), so only the orphan buffer's cap bounds them.
+  constexpr std::size_t kFlood = 10000;
+  constexpr std::size_t kCap = consensus::ChainCore::kMaxOrphans;
+  TcpSocket s = dial_and_handshake();
+  // The node answers every orphan with a locator request; keep reading so
+  // its writes never stall on a full socket buffer.  (A jthread: an early
+  // ASSERT return still stops and joins it.)
+  std::jthread drain([&s](std::stop_token stop) {
+    std::uint8_t buf[16384];
+    while (!stop.stop_requested()) {
+      const int n = s.recv_some(buf, sizeof(buf));
+      if (n == 0 || n == -2) return;
+    }
+  });
+
+  Rng rng(7);
+  BlocksMsg batch;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    ledger::BlockHeader header;
+    header.height = 2 + rng.next_u64() % 1000;
+    for (std::size_t b = 0; b < header.prev.size(); ++b) {
+      header.prev[b] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    header.producer = 3;
+    header.difficulty = P2pNodeConfig{}.difficulty;
+    header.merkle_root = crypto::merkle_root({});
+    batch.blocks.push_back(ledger::Block(header, {}, {}).encode());
+    if (batch.blocks.size() == kMaxSyncBlocks || i + 1 == kFlood) {
+      ASSERT_TRUE(
+          s.send_all(encode_frame(consensus::kP2pBlocks, batch.encode())));
+      batch.blocks.clear();
+    }
+  }
+  ASSERT_TRUE(wait_until(
+      [this] {
+        return node_->chain_stats().orphans_dropped == kFlood - kCap;
+      },
+      60000));
+  EXPECT_EQ(node_->chain_stats().orphans_buffered, kCap);
+
+  // A valid chain delivered child-first afterwards still waits in the
+  // (full) buffer — evicting the two oldest flood blocks — and is adopted
+  // as one batch when its root arrives.
+  const ledger::Block b1 = mined_block(ledger::Block::genesis().id(), 1);
+  const ledger::Block b2 = mined_block(b1.id(), 2);
+  const ledger::Block b3 = mined_block(b2.id(), 3);
+  for (const ledger::Block* b : {&b3, &b2, &b1}) {
+    ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pBlock, b->encode())));
+  }
+  EXPECT_TRUE(wait_until([this] { return node_->head_height() == 3; }));
+  EXPECT_EQ(node_->head(), b3.id());
+  const P2pNode::ChainStats stats = node_->chain_stats();
+  EXPECT_EQ(stats.orphans_dropped, kFlood + 2 - kCap);
+  EXPECT_EQ(stats.orphans_buffered, kCap - 2);
+  EXPECT_EQ(stats.blocks_rejected, 0u);
+  const std::string text =
+      obs::live::render_prometheus(node_->live_registry());
+  EXPECT_NE(text.find("\nthemis_orphans_dropped_total " +
+                      std::to_string(kFlood + 2 - kCap) + "\n"),
+            std::string::npos);
+
+  s.shutdown();
 }
 
 }  // namespace

@@ -645,6 +645,7 @@ TEST_F(P2pIntegrationTest, ChainStatsIsExactlyTheRegistry) {
         {"themis_block_invs_redundant_total", s.invs_redundant},
         {"themis_blocks_received_total", s.blocks_received},
         {"themis_blocks_duplicate_total", s.blocks_duplicate},
+        {"themis_orphans_dropped_total", s.orphans_dropped},
         {"themis_sync_requests_served_total", s.sync_requests_served},
         {"themis_sync_blocks_served_total", s.sync_blocks_served},
         {"themis_sync_rounds_total", s.sync_rounds},
@@ -671,6 +672,7 @@ TEST_F(P2pIntegrationTest, ChainStatsIsExactlyTheRegistry) {
     const auto fin = node->finality_info();
     const std::map<std::string, std::uint64_t> gauges = {
         {"themis_head_height", node->head_height()},
+        {"themis_orphan_blocks", s.orphans_buffered},
         {"themis_finality_height", s.finalized_height},
         {"themis_finality_lag_blocks", fin.lag},
         {"themis_finality_cert_votes", fin.latest_votes},
